@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "cellsim/inject.hpp"
-#include "simtime/trace.hpp"
 #include "simtime/tracebuf.hpp"
 
 namespace cellsim {
@@ -77,11 +76,6 @@ void Mfc::transfer(Dir dir, LsAddr ls_addr, EffectiveAddress ea,
   tag_used_[tag] = true;
   ++commands_;
   bytes_ += size;
-  simtime::Trace::global().record(
-      owner_, simtime::TraceKind::kDma,
-      (dir == Dir::kGet ? "get " : "put ") + std::to_string(size) + "B tag=" +
-          std::to_string(tag),
-      issue, done);
   if (simtime::tracebuf::armed()) {
     simtime::tracebuf::record(dir == Dir::kGet
                                   ? simtime::tracebuf::Kind::kDmaGet

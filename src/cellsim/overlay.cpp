@@ -1,7 +1,6 @@
 #include "cellsim/overlay.hpp"
 
 #include "cellsim/spu.hpp"
-#include "simtime/trace.hpp"
 
 namespace cellsim {
 
@@ -49,15 +48,10 @@ bool OverlayRegion::ensure_loaded(OverlaySegment segment) {
 
   const Registered& seg = segments_[static_cast<std::size_t>(segment.id)];
   const auto& env = spu::env();
-  const simtime::SimTime begin = env.spe->clock().now();
   // The swap is one DMA of the segment image from main memory.
   env.spe->clock().advance(env.cost->dma_transfer(seg.bytes));
   resident_ = segment.id;
   ++swaps_;
-  simtime::Trace::global().record(
-      env.spe->name(), simtime::TraceKind::kDma,
-      "overlay load '" + seg.name + "' " + std::to_string(seg.bytes) + "B",
-      begin, env.spe->clock().now());
   return true;
 }
 

@@ -27,7 +27,6 @@
 #include "pilot/deadlock.hpp"
 #include "pilot/wire.hpp"
 #include "simtime/timeseries.hpp"
-#include "simtime/trace.hpp"
 #include "simtime/tracebuf.hpp"
 
 namespace cellpilot {
@@ -710,12 +709,6 @@ class CopilotService {
     rs.alive = true;
     supervision::g_respawns.fetch_add(1);
     supervision::note_recovery_span(death, start);
-    simtime::Trace::global().record(
-        copilot_name(), simtime::TraceKind::kCopilotService,
-        "respawned SPE process " + proc_name + " (attempt " +
-            std::to_string(rs.attempts) + "/" + std::to_string(budget) +
-            "): " + notice.detail,
-        death, clock().now());
     if (simtime::tracebuf::armed()) {
       simtime::tracebuf::record(Kind::kSpeRespawn, spe.name(), death, start,
                                 0, pid, 0, rs.attempts);
@@ -862,11 +855,6 @@ class CopilotService {
     std::memcpy(dst, src, w.req.length);
     clock().advance(2 * cost_.copilot_ls_access(w.req.length));
     blade_.chip(0).eib().record(ws.name(), rs.name(), w.req.length);
-    simtime::Trace::global().record(copilot_name(),
-                                    simtime::TraceKind::kMappedCopy,
-                                    "type4 " + std::to_string(w.req.length) +
-                                        "B ch=" + std::to_string(w.req.channel),
-                                    begin, clock().now());
     trace::ChannelCounters::global().add_copilot_hop(w.req.channel);
     if (simtime::tracebuf::armed()) {
       simtime::tracebuf::record(Kind::kCopilotPair, copilot_name(), begin,
@@ -1127,12 +1115,6 @@ class CopilotService {
       }
       if (gap <= allowed) {
         supervision::g_recovered.fetch_add(1);
-        simtime::Trace::global().record(
-            copilot_name(), simtime::TraceKind::kCopilotService,
-            "late request recovered after " + std::to_string(k) +
-                " retr" + (k == 1 ? "y" : "ies") +
-                " ch=" + std::to_string(ready.req.channel),
-            ready.first_stamp, clock().now());
         return false;
       }
     }
@@ -1219,10 +1201,6 @@ class CopilotService {
     // the failure is guaranteed to find the fault frame already waiting.
     app_.report_process_failure(pid, {static_cast<std::uint32_t>(status),
                                       code, detail});
-    simtime::Trace::global().record(
-        copilot_name(), simtime::TraceKind::kCopilotService,
-        "process P" + std::to_string(pid) + " failed: " + detail, begin,
-        clock().now());
     if (simtime::tracebuf::armed()) {
       simtime::tracebuf::record(Kind::kCopilotFault, copilot_name(), begin,
                                 clock().now(), 0, /*channel=*/-1,
@@ -1426,18 +1404,12 @@ class CopilotService {
     for (const auto& [c, ops] : j.writes) rs.write_cursor[c] = ops.size();
     for (const auto& [c, ops] : j.reads) rs.read_cursor[c] = ops.size();
 
-    const std::string proc_name = app_.process(pid).name;
     const SimTime start = relaunch(pid, flat, *seed);
     cellsim::Spe& spe = blade_.spe(flat);
     rs.flat = flat;
     rs.alive = true;
     supervision::g_restores.fetch_add(1);
     supervision::note_recovery_span(death, start);
-    simtime::Trace::global().record(
-        copilot_name(), simtime::TraceKind::kCopilotService,
-        "restored SPE process " + proc_name +
-            " from checkpoint after blade kill",
-        death, clock().now());
     if (simtime::tracebuf::armed()) {
       simtime::tracebuf::record(
           Kind::kBladeRestore, spe.name(), death, start, 0, pid, 0,
@@ -1469,7 +1441,6 @@ class CopilotService {
     respawns_ = c.respawns;
 
     const ReadyRequest& in = c.inflight;
-    const SimTime begin = clock().now();
     clock().advance(cost_.copilot_service);
     complete(in.spe, CompletionStatus::kCopilotFault, in.req);
     const int chid = in.req.channel;
@@ -1513,14 +1484,6 @@ class CopilotService {
                   rt->tag);
       }
     }
-    simtime::Trace::global().record(
-        copilot_name(), simtime::TraceKind::kCopilotService,
-        "standby takeover: replayed " +
-            std::to_string(ready_requests_.size()) + " ready, " +
-            std::to_string(pending_writes_.size() + pending_reads_.size()) +
-            " parked; inflight ch=" + std::to_string(chid) +
-            " failed with copilot-fault",
-        begin, clock().now());
   }
 
   void handle_request(unsigned spe, const SpeRequest& req) {
@@ -1690,12 +1653,6 @@ class CopilotService {
           return;
       }
     }
-    simtime::Trace::global().record(
-        copilot_name(), simtime::TraceKind::kCopilotService,
-        std::string(is_write ? "write" : "read") +
-            " ch=" + std::to_string(req.channel) + " " +
-            std::to_string(req.length) + "B",
-        begin, clock().now());
   }
 
   mpisim::Mpi& mpi_;
@@ -1759,12 +1716,6 @@ int copilot_main(mpisim::Mpi& mpi, pilot::PilotApp& app, int node) {
       mpi.clock().join(b.stamp + app.options().copilot_lease);
       app.cluster().record_blade_kill(node);
       supervision::note_recovery_span(b.stamp, mpi.clock().now());
-      const std::string name = app.cluster().world().info(mpi.rank()).name;
-      simtime::Trace::global().record(
-          name, simtime::TraceKind::kCopilotService,
-          "blade killed (injected): " + std::to_string(b.victims.size()) +
-              " SPE contexts lost; successor taking over after lease",
-          b.stamp, mpi.clock().now());
       flightrec::FlightRecorder::global().dump(
           "blade_kill: node " + std::to_string(node) + " lost " +
           std::to_string(b.victims.size()) + " SPE contexts");
@@ -1775,10 +1726,6 @@ int copilot_main(mpisim::Mpi& mpi, pilot::PilotApp& app, int node) {
       supervision::g_failovers.fetch_add(1);
       supervision::note_recovery_span(c.stamp, mpi.clock().now());
       const std::string name = app.cluster().world().info(mpi.rank()).name;
-      simtime::Trace::global().record(
-          name, simtime::TraceKind::kCopilotService,
-          "copilot crashed (injected); standby taking over after lease",
-          c.stamp, mpi.clock().now());
       if (simtime::tracebuf::armed()) {
         simtime::tracebuf::record(Kind::kCopilotFailover, name, c.stamp,
                                   mpi.clock().now(), 0, /*channel=*/-1,

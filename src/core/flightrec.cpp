@@ -1,7 +1,6 @@
 #include "core/flightrec.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <string>
@@ -16,61 +15,10 @@ namespace cellpilot::flightrec {
 
 namespace {
 
-struct RecorderState {
-  std::mutex mu;
-  bool armed = false;
-  std::string path;
-  int dumps = 0;
-
-  void arm_with(const std::string& p) {
-    if (!armed) {
-      // The recorder needs events flowing: arm the trace engine (never
-      // perturbs virtual time) and switch on the black-box tails.  The
-      // completion engine's registry arms with it, so postmortems carry the
-      // table of operations that were still pending when things went wrong.
-      simtime::tracebuf::arm();
-      simtime::tracebuf::set_blackbox(kTailEvents);
-      completion::OpRegistry::global().set_armed(true);
-      armed = true;
-    }
-    path = p;
-  }
-
-  void disarm_locked() {
-    if (armed) {
-      completion::OpRegistry::global().set_armed(false);
-      simtime::tracebuf::set_blackbox(0);
-      simtime::tracebuf::disarm();
-      armed = false;
-    }
-  }
-};
-
-RecorderState& recorder_state() {
-  static RecorderState* g = new RecorderState;
-  return *g;
-}
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (const char ch : s) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(static_cast<char>(c));
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(static_cast<char>(c));
-    }
-  }
-}
-
 std::string postmortem_json(const std::string& reason, int dump_ordinal) {
   std::string out;
   out += "{\n\"generator\":\"cellpilot-flightrec\",\n\"reason\":\"";
-  append_json_escaped(out, reason);
+  obs::append_json_escaped(out, reason);
   out += "\",\n\"dumpOrdinal\":";
   out += std::to_string(dump_ordinal);
 
@@ -88,7 +36,7 @@ std::string postmortem_json(const std::string& reason, int dump_ordinal) {
     out += "\n{\"kind\":\"";
     out += faults::to_string(r.kind);
     out += "\",\"site\":\"";
-    append_json_escaped(out, r.site);
+    obs::append_json_escaped(out, r.site);
     char tail[128];
     std::snprintf(tail, sizeof tail,
                   "\",\"op\":%llu,\"count\":%llu,\"delayNs\":%lld}",
@@ -143,9 +91,9 @@ std::string postmortem_json(const std::string& reason, int dump_ordinal) {
     out += "\",\"state\":\"";
     out += completion::state_name(p.state);
     out += "\",\"entity\":\"";
-    append_json_escaped(out, p.entity);
+    obs::append_json_escaped(out, p.entity);
     out += "\",\"site\":\"";
-    append_json_escaped(out, p.file.empty()
+    obs::append_json_escaped(out, p.file.empty()
                                  ? std::string()
                                  : p.file + ":" + std::to_string(p.line));
     char tail[192];
@@ -174,7 +122,7 @@ std::string postmortem_json(const std::string& reason, int dump_ordinal) {
     out += "\n{\"name\":\"";
     out += simtime::tracebuf::kind_name(e.kind);
     out += "\",\"entity\":\"";
-    append_json_escaped(out, e.entity);
+    obs::append_json_escaped(out, e.entity);
     char tail[192];
     std::snprintf(tail, sizeof tail,
                   "\",\"beginNs\":%lld,\"endNs\":%lld,\"channel\":%d,"
@@ -192,91 +140,54 @@ std::string postmortem_json(const std::string& reason, int dump_ordinal) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder() {
-  RecorderState& st = recorder_state();
-  std::lock_guard lock(st.mu);
-  const char* env = std::getenv("CELLPILOT_FLIGHTREC");
-  if (env != nullptr) {
-    if (env[0] != '\0') {
-      st.arm_with(env);
-    } else {
-      // Loud ignore, matching CELLPILOT_RESPAWN/CELLPILOT_CKPT_EVERY: an
-      // empty value keeps the recorder disarmed instead of arming it with
-      // an unwritable path.
-      std::fprintf(stderr,
-                   "cellpilot: ignoring empty CELLPILOT_FLIGHTREC "
-                   "(flight recorder stays disarmed)\n");
-    }
-  }
-}
+FlightRecorder::FlightRecorder()
+    : Session("-piflightrec=", "CELLPILOT_FLIGHTREC",
+              "flight recorder stays disarmed") {}
 
 FlightRecorder& FlightRecorder::global() {
-  static FlightRecorder* g = new FlightRecorder;
+  static FlightRecorder* g = [] {
+    auto* s = new FlightRecorder;
+    s->start();
+    return s;
+  }();
   return *g;
 }
 
-void FlightRecorder::configure(const std::string& path) {
-  RecorderState& st = recorder_state();
-  std::lock_guard lock(st.mu);
-  st.dumps = 0;
-  st.arm_with(path);
+void FlightRecorder::arm_engine() {
+  // The recorder needs events flowing: arm the trace engine (never
+  // perturbs virtual time) and switch on the black-box tails.  The
+  // completion engine's registry arms with it, so postmortems carry the
+  // table of operations that were still pending when things went wrong.
+  simtime::tracebuf::arm();
+  simtime::tracebuf::set_blackbox(kTailEvents);
+  completion::OpRegistry::global().set_armed(true);
 }
 
-bool FlightRecorder::armed() const {
-  RecorderState& st = recorder_state();
-  std::lock_guard lock(st.mu);
-  return st.armed;
+void FlightRecorder::disarm_engine() {
+  completion::OpRegistry::global().set_armed(false);
+  simtime::tracebuf::set_blackbox(0);
+  simtime::tracebuf::disarm();
 }
 
-const std::string& FlightRecorder::path() const {
-  RecorderState& st = recorder_state();
-  std::lock_guard lock(st.mu);
-  return st.path;
-}
+void FlightRecorder::restart() { dumps_ = 0; }
 
 void FlightRecorder::dump(const std::string& reason) {
-  RecorderState& st = recorder_state();
-  std::lock_guard lock(st.mu);
-  if (!st.armed) return;
-  ++st.dumps;
+  std::lock_guard lock(mu_);
+  if (!armed_) return;
+  ++dumps_;
   // The artifact holds the whole crash sequence: arming starts a fresh
   // file, every later trigger appends its scene.  A cascade (blade_kill →
   // per-victim degrade faults) would otherwise destroy the first dump —
   // the one taken while the doomed ops were still pending.
-  const auto mode =
-      st.dumps == 1 ? std::ios::binary | std::ios::trunc
-                    : std::ios::binary | std::ios::app;
-  std::ofstream f(st.path, mode);
-  if (f) f << postmortem_json(reason, st.dumps);
+  const auto mode = dumps_ == 1 ? std::ios::binary | std::ios::trunc
+                                : std::ios::binary | std::ios::app;
+  std::ofstream f(path_, mode);
+  if (f) f << postmortem_json(reason, dumps_);
 }
 
 int FlightRecorder::dump_count() const {
-  RecorderState& st = recorder_state();
-  std::lock_guard lock(st.mu);
-  return st.dumps;
-}
-
-void FlightRecorder::on_job_end() {
-  RecorderState& st = recorder_state();
-  std::lock_guard lock(st.mu);
-  if (!st.armed) return;
-  // If no trace session/capture will drain the rings, they would grow to
-  // their cap across a many-job binary; the black-box tails are all the
-  // recorder needs, so drop the ring contents here (quiescence point).
-  trace::TraceSession& session = trace::TraceSession::global();
-  if (!session.armed() && !session.capture_active()) {
-    simtime::tracebuf::clear();
-  }
-}
-
-void FlightRecorder::reset_for_tests() {
-  RecorderState& st = recorder_state();
-  std::lock_guard lock(st.mu);
-  st.disarm_locked();
-  st.path.clear();
-  st.dumps = 0;
-  const char* env = std::getenv("CELLPILOT_FLIGHTREC");
-  if (env != nullptr && env[0] != '\0') st.arm_with(env);
+  std::lock_guard lock(mu_);
+  return dumps_;
 }
 
 }  // namespace cellpilot::flightrec

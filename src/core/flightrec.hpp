@@ -21,7 +21,7 @@
 /// keeps the whole crash sequence — including the first scene, the one
 /// taken while the doomed operations were still pending.
 ///
-/// Unlike the trace/metrics sessions the dump does NOT require
+/// Unlike the other sessions' flushes the dump does NOT require
 /// quiescence: the black-box tails carry their own locks, so a fault
 /// path (or a watchdog thread) may dump while the simulation is live.
 /// Arming the recorder arms the trace engine (it needs events recorded),
@@ -29,20 +29,19 @@
 
 #include <string>
 
+#include "core/obs.hpp"
+
 namespace cellpilot::flightrec {
 
 /// Events kept per recording thread while armed.
 inline constexpr std::size_t kTailEvents = 256;
 
-class FlightRecorder {
+/// The `-piflightrec` / `CELLPILOT_FLIGHTREC` session.  Arming and reset
+/// are the obs spine's; unlike the other layers it writes no per-job file
+/// but a postmortem scene per dump().
+class FlightRecorder final : public obs::Session {
  public:
   static FlightRecorder& global();
-
-  /// Arm with an explicit output path (`-piflightrec=FILE`).
-  void configure(const std::string& path);
-
-  bool armed() const;
-  const std::string& path() const;
 
   /// Write the postmortem artifact.  No-op when disarmed.  Safe from any
   /// thread, including fault paths and watchdogs on a live simulation.
@@ -51,18 +50,13 @@ class FlightRecorder {
   /// Number of dumps written since configure (test hook).
   int dump_count() const;
 
-  /// End-of-job housekeeping, called from cellpilot::run's epilogue:
-  /// when the recorder is the only consumer keeping the trace engine
-  /// armed, the full rings are never drained by a session flush, so they
-  /// are cleared here to bound memory across many jobs.  The black-box
-  /// tails survive.
-  void on_job_end();
-
-  /// Test hook: drop all state and re-read CELLPILOT_FLIGHTREC.
-  void reset_for_tests();
-
  private:
   FlightRecorder();
+  void arm_engine() override;
+  void disarm_engine() override;
+  void restart() override;
+
+  int dumps_ = 0;
 };
 
 }  // namespace cellpilot::flightrec

@@ -1,16 +1,10 @@
 #include "core/metrics.hpp"
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <utility>
-
-#include "core/telemetry.hpp"
-#include "core/trace.hpp"
 
 namespace cellpilot::metrics {
 
@@ -33,22 +27,6 @@ void append_stat_fields(std::string& out, const simtime::metrics::Histogram& h) 
                 static_cast<long long>(h.percentile(99)),
                 static_cast<long long>(h.max()));
   out += buf;
-}
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (const char ch : s) {
-    const unsigned char c = static_cast<unsigned char>(ch);
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(static_cast<char>(c));
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(static_cast<char>(c));
-    }
-  }
 }
 
 }  // namespace
@@ -75,7 +53,7 @@ std::string metrics_report_json(const std::vector<JobReport>& jobs) {
                     jr.job, simtime::metrics::kind_name(s.key.kind),
                     static_cast<int>(s.key.route_type), s.key.channel);
       out += head;
-      append_json_escaped(out, s.key.entity);
+      obs::append_json_escaped(out, s.key.entity);
       out += "\",";
       append_stat_fields(out, s.hist);
       out += "}";
@@ -119,137 +97,34 @@ std::string metrics_report_json(const std::vector<JobReport>& jobs) {
 // ---------------------------------------------------------------------------
 // MetricsSession
 
-namespace {
-
-struct MetricsState {
-  std::mutex mu;
-  bool armed = false;
-  std::string path;
-  std::vector<JobReport> reports;
-  int next_job = 1;
-  std::atomic<int> captures{0};
-
-  void arm_with(const std::string& p) {
-    if (!armed) {
-      simtime::metrics::arm();
-      armed = true;
-    }
-    path = p;
-  }
-};
-
-MetricsState& metrics_state() {
-  static MetricsState* g = new MetricsState;
-  return *g;
-}
-
-}  // namespace
-
-MetricsSession::MetricsSession() {
-  MetricsState& st = metrics_state();
-  std::lock_guard lock(st.mu);
-  const char* env = std::getenv("CELLPILOT_METRICS");
-  if (env != nullptr) {
-    if (env[0] != '\0') {
-      st.arm_with(env);
-    } else {
-      // Loud ignore, matching CELLPILOT_RESPAWN/CELLPILOT_CKPT_EVERY: an
-      // empty value keeps the layer disarmed instead of arming it with an
-      // unwritable path.
-      std::fprintf(stderr,
-                   "cellpilot: ignoring empty CELLPILOT_METRICS "
-                   "(metrics stay disarmed)\n");
-    }
-  }
-}
+MetricsSession::MetricsSession()
+    : Session("-pimetrics=", "CELLPILOT_METRICS", "metrics stay disarmed") {}
 
 MetricsSession& MetricsSession::global() {
-  static MetricsSession* g = new MetricsSession;
+  static MetricsSession* g = [] {
+    auto* s = new MetricsSession;
+    s->start();
+    return s;
+  }();
   return *g;
 }
 
-void MetricsSession::configure(const std::string& path) {
-  MetricsState& st = metrics_state();
-  std::lock_guard lock(st.mu);
-  st.reports.clear();
-  st.next_job = 1;
-  st.arm_with(path);
-  simtime::metrics::clear();
-}
+void MetricsSession::arm_engine() { simtime::metrics::arm(); }
+void MetricsSession::disarm_engine() { simtime::metrics::disarm(); }
+void MetricsSession::clear_engine() { simtime::metrics::clear(); }
+void MetricsSession::restart() { reports_.clear(); }
 
-bool MetricsSession::armed() const {
-  MetricsState& st = metrics_state();
-  std::lock_guard lock(st.mu);
-  return st.armed;
-}
-
-const std::string& MetricsSession::path() const {
-  MetricsState& st = metrics_state();
-  std::lock_guard lock(st.mu);
-  return st.path;
-}
-
-void MetricsSession::flush_job() {
-  MetricsState& st = metrics_state();
-  std::lock_guard lock(st.mu);
-  if (!st.armed) return;
-  if (st.captures.load(std::memory_order_relaxed) > 0) return;
-
-  JobReport report;
-  report.job = st.next_job++;
-  report.series = simtime::metrics::drain();
-  st.reports.push_back(std::move(report));
-
-  // Rewrite the whole file each flush, same policy as the trace session:
-  // a multi-job binary always leaves a complete, well-formed report.
-  std::ofstream f(st.path, std::ios::binary | std::ios::trunc);
-  if (f) f << metrics_report_json(st.reports);
-}
-
-void MetricsSession::reset_for_tests() {
-  MetricsState& st = metrics_state();
-  std::lock_guard lock(st.mu);
-  if (st.armed) {
-    simtime::metrics::disarm();
-    st.armed = false;
-  }
-  st.reports.clear();
-  st.next_job = 1;
-  st.path.clear();
-  simtime::metrics::clear();
-  const char* env = std::getenv("CELLPILOT_METRICS");
-  if (env != nullptr && env[0] != '\0') st.arm_with(env);
-}
-
-void MetricsSession::adjust_captures(int delta) {
-  metrics_state().captures.fetch_add(delta, std::memory_order_relaxed);
+std::optional<std::string> MetricsSession::render_job(
+    int job, pilot::PilotApp& /*app*/) {
+  reports_.push_back(JobReport{job, simtime::metrics::drain()});
+  return metrics_report_json(reports_);
 }
 
 // ---------------------------------------------------------------------------
 // ScopedMetricsCapture
 
-ScopedMetricsCapture::ScopedMetricsCapture() {
-  MetricsSession::global().adjust_captures(1);
-  trace::TraceSession::global().adjust_captures(1);
-  telemetry::TelemetrySession::global().adjust_captures(1);
-  simtime::metrics::clear();
-  simtime::metrics::arm();
-  // The sibling engines are cleared at both capture boundaries so that,
-  // when their sessions are armed too, the suppressed job's events cannot
-  // leak into the next flushed job and desynchronize the files.
-  simtime::tracebuf::clear();
-  simtime::timeseries::clear();
-}
-
-ScopedMetricsCapture::~ScopedMetricsCapture() {
-  simtime::metrics::disarm();
-  simtime::metrics::clear();
-  simtime::tracebuf::clear();
-  simtime::timeseries::clear();
-  telemetry::TelemetrySession::global().adjust_captures(-1);
-  trace::TraceSession::global().adjust_captures(-1);
-  MetricsSession::global().adjust_captures(-1);
-}
+ScopedMetricsCapture::ScopedMetricsCapture()
+    : CaptureScope(&simtime::metrics::arm, &simtime::metrics::disarm) {}
 
 std::vector<simtime::metrics::Series> ScopedMetricsCapture::drain() {
   return simtime::metrics::drain();

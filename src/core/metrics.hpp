@@ -4,22 +4,23 @@
 ///
 /// Mirrors core/trace layer-for-layer:
 ///
-///  * MetricsSession — the `-pimetrics=FILE` / `CELLPILOT_METRICS`
-///    plumbing.  While armed, the instrumented seams (pilot API, SPE
-///    runtime, Co-Pilot loop, SPU mailbox intrinsic, mpisim reliable
-///    sublayer) record virtual-ns samples; cellpilot::run's epilogue
-///    (full quiescence, same point as the trace flush) drains the
-///    registry into a per-job report and rewrites the whole JSON file.
-///    Every number in the report is an exact integer derived from virtual
-///    stamps, so two runs of the same program produce byte-identical
-///    reports — the `metrics-parity` CI job plus the `tracestats`
-///    cross-oracle turn that into an enforced invariant.
+///  * MetricsSession — the `-pimetrics=FILE` / `CELLPILOT_METRICS` layer
+///    of the obs session spine (core/obs).  While armed, the instrumented
+///    seams (pilot API, SPE runtime, Co-Pilot loop, SPU mailbox
+///    intrinsic, mpisim reliable sublayer) record virtual-ns samples;
+///    cellpilot::run's epilogue (full quiescence, same point as the trace
+///    flush) drains the registry into a per-job report and rewrites the
+///    whole JSON file.  Every number in the report is an exact integer
+///    derived from virtual stamps, so two runs of the same program
+///    produce byte-identical reports — the `parity` CI job plus the
+///    `tracestats` cross-oracle turn that into an enforced invariant.
 ///
-///  * ScopedMetricsCapture — the in-process test harness, RAII like
-///    ScopedTraceCapture.  While either capture kind is active *both*
-///    session flushes are suppressed and both engines are cleared at the
-///    capture boundary, so the per-job numbering of the trace file and
-///    the metrics report stay aligned (tracestats joins them by job).
+///  * ScopedMetricsCapture — the in-process test harness, an
+///    obs::CaptureScope like ScopedTraceCapture: while any capture is
+///    active every session flush is suppressed and every engine is
+///    cleared at the capture boundaries, so the per-job numbering of the
+///    trace file and the metrics report stays aligned (tracestats joins
+///    them by job).
 ///
 ///  * LatencyLedger — the online half of end-to-end message latency.
 ///    Each completed write pushes its begin stamp into a per-channel
@@ -34,45 +35,35 @@
 #include <string>
 #include <vector>
 
+#include "core/obs.hpp"
 #include "simtime/metrics.hpp"
 #include "simtime/sim_time.hpp"
 
 namespace cellpilot::metrics {
 
-/// The `-pimetrics` / `CELLPILOT_METRICS` session.  Thread-safe; all
-/// methods other than the engine-level armed() take an internal lock.
-class MetricsSession {
- public:
-  static MetricsSession& global();
-
-  /// Arm for this process with an explicit output path (`-pimetrics=FILE`).
-  /// Restarts the accumulated report list, same semantics as TraceSession.
-  void configure(const std::string& path);
-
-  bool armed() const;
-  const std::string& path() const;
-
-  /// Drain the engine into a new per-job report and rewrite the output
-  /// file.  Called by cellpilot::run's epilogue at full quiescence.
-  /// No-op while any scoped capture (trace or metrics) is active.
-  void flush_job();
-
-  /// Test hook: drop all state and re-read CELLPILOT_METRICS.
-  void reset_for_tests();
-
-  /// Internal capture bookkeeping: ScopedTraceCapture/ScopedMetricsCapture
-  /// bump this on both sessions so job numbering stays aligned across the
-  /// trace file and the metrics report.
-  void adjust_captures(int delta);
-
- private:
-  MetricsSession();
-};
-
 /// One flushed job: ordinal plus the canonical series drain.
 struct JobReport {
   int job = 0;
   std::vector<simtime::metrics::Series> series;
+};
+
+/// The `-pimetrics` / `CELLPILOT_METRICS` session: the obs spine owns
+/// arming, the job list and the file rewrite; this layer drains the
+/// histogram registry into one JobReport per job.
+class MetricsSession final : public obs::Session {
+ public:
+  static MetricsSession& global();
+
+ private:
+  MetricsSession();
+  void arm_engine() override;
+  void disarm_engine() override;
+  void clear_engine() override;
+  void restart() override;
+  std::optional<std::string> render_job(int job,
+                                        pilot::PilotApp& app) override;
+
+  std::vector<JobReport> reports_;
 };
 
 /// Render accumulated reports as the metrics JSON (exposed for tests).
@@ -81,14 +72,11 @@ struct JobReport {
 /// --check-metrics mode parses.
 std::string metrics_report_json(const std::vector<JobReport>& jobs);
 
-/// RAII test harness: clear + arm on construction, disarm + clear on
-/// destruction; suppresses both session flushes for its lifetime.
-class ScopedMetricsCapture {
+/// RAII test harness over obs::CaptureScope: arms the metrics engine for
+/// its lifetime; every session flush stays suppressed.
+class ScopedMetricsCapture : public obs::CaptureScope {
  public:
   ScopedMetricsCapture();
-  ~ScopedMetricsCapture();
-  ScopedMetricsCapture(const ScopedMetricsCapture&) = delete;
-  ScopedMetricsCapture& operator=(const ScopedMetricsCapture&) = delete;
 
   /// Drain everything recorded so far (canonical order).
   std::vector<simtime::metrics::Series> drain();

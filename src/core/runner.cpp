@@ -9,11 +9,7 @@
 
 #include "core/copilot.hpp"
 #include "core/epoch.hpp"
-#include "core/flightrec.hpp"
-#include "core/metrics.hpp"
-#include "core/router.hpp"
-#include "core/telemetry.hpp"
-#include "core/trace.hpp"
+#include "core/obs.hpp"
 #include "core/transport.hpp"
 #include "mpisim/launcher.hpp"
 #include "pilot/context.hpp"
@@ -38,15 +34,9 @@ class ContextBinding {
 
 RunResult run(cluster::Cluster& machine, const MainFunc& user_main,
               RunOptions options) {
-  // Touch the observability singletons before any traffic: their
-  // constructors arm from the environment (CELLPILOT_TRACE /
-  // CELLPILOT_METRICS / CELLPILOT_FLIGHTREC), and lazy construction at
-  // the flush point used to leave the process's FIRST job silently
-  // unrecorded — an env-armed single-job binary wrote an event-less file.
-  trace::TraceSession::global();
-  metrics::MetricsSession::global();
-  telemetry::TelemetrySession::global();
-  flightrec::FlightRecorder::global();
+  // Construct the observability sessions before any traffic: each arms
+  // from its environment variable (CELLPILOT_TRACE, ...) at first touch.
+  obs::begin_job();
 
   pilot::PilotApp app(machine);
   CellTransportImpl transport;
@@ -60,7 +50,7 @@ RunResult run(cluster::Cluster& machine, const MainFunc& user_main,
   // Checkpoint cut coordination restarts per job: the commit rule ("every
   // Cell node contributed a shard") needs this job's contributor count.
   // The session itself is armed later, by PI_Configure (-pickpt), exactly
-  // like the trace/metrics sessions; declaring the topology is free.
+  // like the observability sessions; declaring the topology is free.
   {
     int cells = 0;
     for (int n = 0; n < machine.node_count(); ++n) {
@@ -111,31 +101,9 @@ RunResult run(cluster::Cluster& machine, const MainFunc& user_main,
   app.join_all_spe_threads();
 
   // Full quiescence: every rank, Co-Pilot, service and SPE thread has been
-  // joined, so nothing can still be recording — drain the trace rings into
-  // this job's batch and rewrite the session's trace file (a no-op when
-  // tracing is disarmed).
-  {
-    std::vector<trace::ChannelSummary> channels;
-    channels.reserve(static_cast<std::size_t>(app.channel_count()));
-    for (int c = 0; c < app.channel_count(); ++c) {
-      const PI_CHANNEL& ch = app.channel(c);
-      trace::ChannelSummary s;
-      s.channel = c;
-      s.route_type = ch.route == nullptr ? 0 : static_cast<int>(ch.route->type);
-      s.name = ch.name;
-      s.stats = trace::ChannelCounters::global().snapshot(c);
-      channels.push_back(std::move(s));
-    }
-    trace::TraceSession::global().flush_job(channels);
-  }
-
-  // Same quiescence point for the metrics report and the windowed
-  // telemetry report: drain each registry into this job's report and
-  // rewrite the session's file (no-ops when disarmed).  After the flushes
-  // the flight recorder may discard ring contents it alone kept alive.
-  metrics::MetricsSession::global().flush_job();
-  telemetry::TelemetrySession::global().flush_job();
-  flightrec::FlightRecorder::global().on_job_end();
+  // joined, so nothing can still be recording — every armed observability
+  // session appends this job and rewrites its file.
+  obs::end_job(app);
   ckpt::CheckpointSession::global().end_job();
 
   RunResult result;

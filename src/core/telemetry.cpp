@@ -1,16 +1,10 @@
 #include "core/telemetry.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <mutex>
-#include <utility>
 
 #include "benchkit/benchjson.hpp"
-#include "core/metrics.hpp"
-#include "core/trace.hpp"
 
 namespace cellpilot::telemetry {
 
@@ -51,39 +45,29 @@ std::string telemetry_report_json(const std::vector<JobTelemetry>& jobs,
 // ---------------------------------------------------------------------------
 // TelemetrySession
 
-namespace {
+TelemetrySession::TelemetrySession()
+    : Session("-pitelemetry=", "CELLPILOT_TELEMETRY",
+              "telemetry stays disarmed") {}
 
-struct TelemetryState {
-  std::mutex mu;
-  bool armed = false;
-  std::string path;
-  std::vector<JobTelemetry> reports;
-  int next_job = 1;
-  std::atomic<int> captures{0};
-
-  void arm_with(const std::string& p) {
-    if (!armed) {
-      simtime::timeseries::arm();
-      armed = true;
-    }
-    path = p;
-  }
-};
-
-TelemetryState& telemetry_state() {
-  static TelemetryState* g = new TelemetryState;
+TelemetrySession& TelemetrySession::global() {
+  static TelemetrySession* g = [] {
+    auto* s = new TelemetrySession;
+    s->start();
+    return s;
+  }();
   return *g;
 }
 
-}  // namespace
+void TelemetrySession::arm_engine() { simtime::timeseries::arm(); }
+void TelemetrySession::disarm_engine() { simtime::timeseries::disarm(); }
+void TelemetrySession::clear_engine() { simtime::timeseries::clear(); }
+void TelemetrySession::restart() { reports_.clear(); }
 
-namespace {
-
-/// CELLPILOT_TELEMETRY_EVERY (virtual microseconds).  Shared by the
-/// constructor and reset_for_tests so both read the environment through
-/// the same guard: positive numbers set the window, anything else is a
-/// loud no-op.
-void apply_env_window() {
+/// CELLPILOT_TELEMETRY_EVERY (virtual microseconds), read before the
+/// arming decision so an env-armed session never records a sample under
+/// the default window and then shrinks it mid-run: positive numbers set
+/// the window, anything else is a loud no-op.
+void TelemetrySession::read_env() {
   const char* every = std::getenv("CELLPILOT_TELEMETRY_EVERY");
   if (every == nullptr || every[0] == '\0') return;
   char* end = nullptr;
@@ -98,128 +82,28 @@ void apply_env_window() {
   }
 }
 
-}  // namespace
-
-TelemetrySession::TelemetrySession() {
-  TelemetryState& st = telemetry_state();
-  std::lock_guard lock(st.mu);
-  // Window first, arming second, so an env-armed session never records a
-  // sample under the default window and then shrinks it mid-run.
-  apply_env_window();
-  const char* env = std::getenv("CELLPILOT_TELEMETRY");
-  if (env != nullptr) {
-    if (env[0] != '\0') {
-      st.arm_with(env);
-    } else {
-      // Loud ignore, matching CELLPILOT_RESPAWN/CELLPILOT_CKPT_EVERY: an
-      // empty value keeps the layer disarmed instead of arming it with an
-      // unwritable path.
-      std::fprintf(stderr,
-                   "cellpilot: ignoring empty CELLPILOT_TELEMETRY "
-                   "(telemetry stays disarmed)\n");
-    }
-  }
-}
-
-TelemetrySession& TelemetrySession::global() {
-  static TelemetrySession* g = new TelemetrySession;
-  return *g;
-}
-
-void TelemetrySession::configure(const std::string& path) {
-  TelemetryState& st = telemetry_state();
-  std::lock_guard lock(st.mu);
-  st.reports.clear();
-  st.next_job = 1;
-  st.arm_with(path);
-  simtime::timeseries::clear();
-}
-
 void TelemetrySession::configure_window(simtime::SimTime window_ns) {
   simtime::timeseries::set_window(window_ns);
-}
-
-bool TelemetrySession::armed() const {
-  TelemetryState& st = telemetry_state();
-  std::lock_guard lock(st.mu);
-  return st.armed;
-}
-
-const std::string& TelemetrySession::path() const {
-  TelemetryState& st = telemetry_state();
-  std::lock_guard lock(st.mu);
-  return st.path;
 }
 
 simtime::SimTime TelemetrySession::window_ns() const {
   return simtime::timeseries::window();
 }
 
-void TelemetrySession::flush_job() {
-  TelemetryState& st = telemetry_state();
-  std::lock_guard lock(st.mu);
-  if (!st.armed) return;
-  if (st.captures.load(std::memory_order_relaxed) > 0) return;
-
-  JobTelemetry report;
-  report.job = st.next_job++;
-  report.series = simtime::timeseries::drain();
-  st.reports.push_back(std::move(report));
-
-  // Rewrite the whole file each flush, same policy as the trace and
-  // metrics sessions: a multi-job binary always leaves a complete,
-  // well-formed report.  Quiet rewrite (no benchjson stderr note): the
-  // epilogue may run once per job and stderr is part of the parity diff
-  // surface the benches pin down.
-  std::ofstream f(st.path, std::ios::binary | std::ios::trunc);
-  if (f) f << telemetry_report_json(st.reports, simtime::timeseries::window());
-}
-
-void TelemetrySession::reset_for_tests() {
-  TelemetryState& st = telemetry_state();
-  std::lock_guard lock(st.mu);
-  if (st.armed) {
-    simtime::timeseries::disarm();
-    st.armed = false;
-  }
-  st.reports.clear();
-  st.next_job = 1;
-  st.path.clear();
-  simtime::timeseries::clear();
-  apply_env_window();
-  const char* env = std::getenv("CELLPILOT_TELEMETRY");
-  if (env != nullptr && env[0] != '\0') st.arm_with(env);
-}
-
-void TelemetrySession::adjust_captures(int delta) {
-  telemetry_state().captures.fetch_add(delta, std::memory_order_relaxed);
+std::optional<std::string> TelemetrySession::render_job(
+    int job, pilot::PilotApp& /*app*/) {
+  reports_.push_back(JobTelemetry{job, simtime::timeseries::drain()});
+  // Quiet rewrite (no benchjson stderr note): the epilogue may run once
+  // per job and stderr is part of the parity diff surface the benches pin
+  // down.
+  return telemetry_report_json(reports_, simtime::timeseries::window());
 }
 
 // ---------------------------------------------------------------------------
 // ScopedTelemetryCapture
 
-ScopedTelemetryCapture::ScopedTelemetryCapture() {
-  TelemetrySession::global().adjust_captures(1);
-  metrics::MetricsSession::global().adjust_captures(1);
-  trace::TraceSession::global().adjust_captures(1);
-  simtime::timeseries::clear();
-  simtime::timeseries::arm();
-  // The sibling engines are cleared at both capture boundaries so that,
-  // when their sessions are armed too, the suppressed job's data cannot
-  // leak into the next flushed job and desynchronize the files.
-  simtime::metrics::clear();
-  simtime::tracebuf::clear();
-}
-
-ScopedTelemetryCapture::~ScopedTelemetryCapture() {
-  simtime::timeseries::disarm();
-  simtime::timeseries::clear();
-  simtime::metrics::clear();
-  simtime::tracebuf::clear();
-  trace::TraceSession::global().adjust_captures(-1);
-  metrics::MetricsSession::global().adjust_captures(-1);
-  TelemetrySession::global().adjust_captures(-1);
-}
+ScopedTelemetryCapture::ScopedTelemetryCapture()
+    : CaptureScope(&simtime::timeseries::arm, &simtime::timeseries::disarm) {}
 
 std::vector<simtime::timeseries::Series> ScopedTelemetryCapture::drain() {
   return simtime::timeseries::drain();

@@ -5,23 +5,23 @@
 /// Mirrors core/trace and core/metrics layer-for-layer:
 ///
 ///  * TelemetrySession — the `-pitelemetry=FILE` / `CELLPILOT_TELEMETRY`
-///    plumbing.  While armed, the instrumented seams (Co-Pilot service
-///    loop, completion engine, SPE pool, reliable sublayer, replay
-///    journal, read/write endpoints) record windowed gauges and counters
-///    stamped with virtual time; cellpilot::run's epilogue (full
-///    quiescence, same point as the trace and metrics flushes) drains the
-///    engine into a per-job report and rewrites the whole JSON file
-///    through the shared benchkit/benchjson writer.  Every number is an
+///    layer of the obs session spine (core/obs).  While armed, the
+///    instrumented seams (Co-Pilot service loop, completion engine, SPE
+///    pool, reliable sublayer, replay journal, read/write endpoints)
+///    record windowed gauges and counters stamped with virtual time;
+///    cellpilot::run's epilogue (full quiescence, same point as the trace
+///    and metrics flushes) drains the engine into a per-job report and
+///    rewrites the whole JSON file through the shared benchkit/benchjson
+///    writer.  Every number is an
 ///    exact integer derived from virtual stamps, so two runs of the same
-///    program produce byte-identical reports — the `telemetry-parity` CI
-///    job enforces it, chaos cocktails included.
+///    program produce byte-identical reports — the `parity` CI job
+///    enforces it, chaos cocktails included.
 ///
-///  * ScopedTelemetryCapture — the in-process test harness, RAII like
-///    ScopedTraceCapture/ScopedMetricsCapture.  While any capture kind is
-///    active *all three* session flushes are suppressed and all engines
-///    are cleared at the capture boundary, so per-job numbering stays
-///    aligned across the trace file, the metrics report and the telemetry
-///    report (tools/pitop joins telemetry and trace by job).
+///  * ScopedTelemetryCapture — the in-process test harness, an
+///    obs::CaptureScope like the trace and metrics captures, so per-job
+///    numbering stays aligned across the trace file, the metrics report
+///    and the telemetry report (tools/pitop joins telemetry and trace by
+///    job).
 ///
 /// The window length comes from `-pitelemetryevery=US` (default 1000 us)
 /// and must be set before traffic — the session forwards it to the engine
@@ -31,48 +31,11 @@
 #include <string>
 #include <vector>
 
+#include "core/obs.hpp"
 #include "simtime/sim_time.hpp"
 #include "simtime/timeseries.hpp"
 
 namespace cellpilot::telemetry {
-
-/// The `-pitelemetry` / `CELLPILOT_TELEMETRY` session.  Thread-safe; all
-/// methods other than the engine-level armed() take an internal lock.
-class TelemetrySession {
- public:
-  static TelemetrySession& global();
-
-  /// Arm for this process with an explicit output path
-  /// (`-pitelemetry=FILE`).  Restarts the accumulated report list, same
-  /// semantics as TraceSession/MetricsSession.
-  void configure(const std::string& path);
-
-  /// Set the window length (`-pitelemetryevery=US`, carried here in ns).
-  /// Applies to samples recorded afterwards; PI_Configure calls it before
-  /// any traffic.
-  void configure_window(simtime::SimTime window_ns);
-
-  bool armed() const;
-  const std::string& path() const;
-  simtime::SimTime window_ns() const;
-
-  /// Drain the engine into a new per-job report and rewrite the output
-  /// file.  Called by cellpilot::run's epilogue at full quiescence.
-  /// No-op while any scoped capture (trace, metrics or telemetry) is
-  /// active.
-  void flush_job();
-
-  /// Test hook: drop all state and re-read CELLPILOT_TELEMETRY.
-  void reset_for_tests();
-
-  /// Internal capture bookkeeping, same contract as the trace and metrics
-  /// sessions: every scoped capture kind bumps all sessions so per-job
-  /// numbering stays aligned across the three files.
-  void adjust_captures(int delta);
-
- private:
-  TelemetrySession();
-};
 
 /// One flushed job: ordinal plus the canonical series drain.
 struct JobTelemetry {
@@ -87,14 +50,37 @@ struct JobTelemetry {
 std::string telemetry_report_json(const std::vector<JobTelemetry>& jobs,
                                   simtime::SimTime window_ns);
 
-/// RAII test harness: clear + arm on construction, disarm + clear on
-/// destruction; suppresses all session flushes for its lifetime.
-class ScopedTelemetryCapture {
+/// The `-pitelemetry` / `CELLPILOT_TELEMETRY` session: the obs spine owns
+/// arming, the job list and the file rewrite; this layer adds the window
+/// length and drains the engine into one JobTelemetry per job.
+class TelemetrySession final : public obs::Session {
+ public:
+  static TelemetrySession& global();
+
+  /// Set the window length (`-pitelemetryevery=US`, carried here in ns).
+  /// Applies to samples recorded afterwards; PI_Configure calls it before
+  /// any traffic.
+  void configure_window(simtime::SimTime window_ns);
+  simtime::SimTime window_ns() const;
+
+ private:
+  TelemetrySession();
+  void arm_engine() override;
+  void disarm_engine() override;
+  void clear_engine() override;
+  void read_env() override;
+  void restart() override;
+  std::optional<std::string> render_job(int job,
+                                        pilot::PilotApp& app) override;
+
+  std::vector<JobTelemetry> reports_;
+};
+
+/// RAII test harness over obs::CaptureScope: arms the telemetry engine for
+/// its lifetime; every session flush stays suppressed.
+class ScopedTelemetryCapture : public obs::CaptureScope {
  public:
   ScopedTelemetryCapture();
-  ~ScopedTelemetryCapture();
-  ScopedTelemetryCapture(const ScopedTelemetryCapture&) = delete;
-  ScopedTelemetryCapture& operator=(const ScopedTelemetryCapture&) = delete;
 
   /// Drain everything recorded so far (canonical order).
   std::vector<simtime::timeseries::Series> drain();

@@ -2,16 +2,14 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 
-#include "core/metrics.hpp"
-#include "core/telemetry.hpp"
+#include "core/router.hpp"
 #include "mpisim/reliable.hpp"
 #include "mpisim/types.hpp"
+#include "pilot/app.hpp"
 #include "pilot/tables.hpp"
 
 namespace cellpilot::trace {
@@ -217,22 +215,6 @@ int channel_of_tag(std::int64_t tag) {
 
 namespace {
 
-void append_json_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const unsigned char c = static_cast<unsigned char>(*s);
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(static_cast<char>(c));
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(static_cast<char>(c));
-    }
-  }
-}
-
 /// Virtual nanoseconds -> microseconds with exactly three decimals, via
 /// integer arithmetic so the text is reproducible on any libc.
 void append_us(std::string& out, simtime::SimTime ns) {
@@ -266,7 +248,7 @@ std::string chrome_trace_json(const std::vector<JobBatch>& batches) {
                     "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,", b.job, tid);
       out += head;
       out += "\"name\":\"thread_name\",\"args\":{\"name\":\"";
-      append_json_escaped(out, name.c_str());
+      obs::append_json_escaped(out, name.c_str());
       out += "\"}}";
     }
 
@@ -284,7 +266,7 @@ std::string chrome_trace_json(const std::vector<JobBatch>& batches) {
       out += ",\"name\":\"";
       out += simtime::tracebuf::kind_name(e.kind);
       out += "\",\"cat\":\"cellpilot\",\"args\":{\"entity\":\"";
-      append_json_escaped(out, e.entity);
+      obs::append_json_escaped(out, e.entity);
       char tail[128];
       std::snprintf(tail, sizeof tail,
                     "\",\"channel\":%d,\"route\":%d,\"bytes\":%llu,"
@@ -314,7 +296,7 @@ std::string chrome_trace_json(const std::vector<JobBatch>& batches) {
       out += ",\"channel\":";
       out += std::to_string(ch.channel);
       out += ",\"name\":\"";
-      append_json_escaped(out, ch.name.c_str());
+      obs::append_json_escaped(out, ch.name.c_str());
       char stats[256];
       std::snprintf(
           stats, sizeof stats,
@@ -373,148 +355,52 @@ std::string chrome_trace_json(const std::vector<JobBatch>& batches) {
 // ---------------------------------------------------------------------------
 // TraceSession
 
-namespace {
-
-struct SessionState {
-  std::mutex mu;
-  bool armed = false;
-  std::string path;
-  std::vector<JobBatch> batches;
-  int next_job = 1;
-  std::atomic<int> captures{0};
-
-  void arm_with(const std::string& p) {
-    if (!armed) {
-      simtime::tracebuf::arm();
-      armed = true;
-    }
-    path = p;
-  }
-};
-
-SessionState& session_state() {
-  static SessionState* g = new SessionState;
-  return *g;
-}
-
-}  // namespace
-
-TraceSession::TraceSession() {
-  SessionState& st = session_state();
-  std::lock_guard lock(st.mu);
-  const char* env = std::getenv("CELLPILOT_TRACE");
-  if (env != nullptr) {
-    if (env[0] != '\0') {
-      st.arm_with(env);
-    } else {
-      // Loud ignore, matching CELLPILOT_RESPAWN/CELLPILOT_CKPT_EVERY: an
-      // empty value keeps tracing disarmed instead of arming it with an
-      // unwritable path.
-      std::fprintf(stderr,
-                   "cellpilot: ignoring empty CELLPILOT_TRACE "
-                   "(tracing stays disarmed)\n");
-    }
-  }
-}
+TraceSession::TraceSession()
+    : Session("-pitrace=", "CELLPILOT_TRACE", "tracing stays disarmed") {}
 
 TraceSession& TraceSession::global() {
-  static TraceSession* g = new TraceSession;
+  static TraceSession* g = [] {
+    auto* s = new TraceSession;
+    s->start();
+    return s;
+  }();
   return *g;
 }
 
-void TraceSession::configure(const std::string& path) {
-  SessionState& st = session_state();
-  std::lock_guard lock(st.mu);
-  st.batches.clear();
-  st.next_job = 1;
-  st.arm_with(path);
-  simtime::tracebuf::clear();
-}
+void TraceSession::arm_engine() { simtime::tracebuf::arm(); }
+void TraceSession::disarm_engine() { simtime::tracebuf::disarm(); }
+void TraceSession::clear_engine() { simtime::tracebuf::clear(); }
+void TraceSession::restart() { batches_.clear(); }
 
-bool TraceSession::armed() const {
-  SessionState& st = session_state();
-  std::lock_guard lock(st.mu);
-  return st.armed;
-}
-
-const std::string& TraceSession::path() const {
-  SessionState& st = session_state();
-  std::lock_guard lock(st.mu);
-  return st.path;
-}
-
-void TraceSession::flush_job(const std::vector<ChannelSummary>& channels) {
-  SessionState& st = session_state();
-  std::lock_guard lock(st.mu);
-  if (!st.armed) return;
-  if (st.captures.load(std::memory_order_relaxed) > 0) return;
-
+std::optional<std::string> TraceSession::render_job(
+    int job, pilot::PilotApp& app) {
   JobBatch batch;
-  batch.job = st.next_job++;
+  batch.job = job;
   batch.dropped = simtime::tracebuf::dropped();
   batch.events = simtime::tracebuf::drain();
-  batch.channels = channels;
+  for (int c = 0; c < app.channel_count(); ++c) {
+    const PI_CHANNEL& ch = app.channel(c);
+    ChannelSummary s;
+    s.channel = c;
+    s.route_type = ch.route == nullptr ? 0 : static_cast<int>(ch.route->type);
+    s.name = ch.name;
+    s.stats = ChannelCounters::global().snapshot(c);
+    batch.channels.push_back(std::move(s));
+  }
   // Attribute MPI legs to channels post-hoc: mpisim records the tag, the
   // tag encodes the channel.
   for (auto& e : batch.events) {
     if (e.channel < 0) e.channel = channel_of_tag(e.aux);
   }
-  st.batches.push_back(std::move(batch));
-
-  // Rewrite the whole file each flush so a multi-job binary always leaves
-  // a complete, well-formed trace behind, even if a later job aborts.
-  std::ofstream f(st.path, std::ios::binary | std::ios::trunc);
-  if (f) f << chrome_trace_json(st.batches);
-}
-
-void TraceSession::reset_for_tests() {
-  SessionState& st = session_state();
-  std::lock_guard lock(st.mu);
-  if (st.armed) {
-    simtime::tracebuf::disarm();
-    st.armed = false;
-  }
-  st.batches.clear();
-  st.next_job = 1;
-  st.path.clear();
-  simtime::tracebuf::clear();
-  const char* env = std::getenv("CELLPILOT_TRACE");
-  if (env != nullptr && env[0] != '\0') st.arm_with(env);
-}
-
-void TraceSession::adjust_captures(int delta) {
-  session_state().captures.fetch_add(delta, std::memory_order_relaxed);
-}
-
-bool TraceSession::capture_active() const {
-  return session_state().captures.load(std::memory_order_relaxed) > 0;
+  batches_.push_back(std::move(batch));
+  return chrome_trace_json(batches_);
 }
 
 // ---------------------------------------------------------------------------
 // ScopedTraceCapture
 
-ScopedTraceCapture::ScopedTraceCapture() {
-  session_state().captures.fetch_add(1, std::memory_order_relaxed);
-  metrics::MetricsSession::global().adjust_captures(1);
-  telemetry::TelemetrySession::global().adjust_captures(1);
-  simtime::tracebuf::clear();
-  simtime::tracebuf::arm();
-  // Clear the sibling engines at both capture boundaries so that, when
-  // their sessions are armed too, the suppressed job's samples cannot
-  // leak into the next flushed report (see core/metrics.hpp).
-  simtime::metrics::clear();
-  simtime::timeseries::clear();
-}
-
-ScopedTraceCapture::~ScopedTraceCapture() {
-  simtime::tracebuf::disarm();
-  simtime::tracebuf::clear();
-  simtime::metrics::clear();
-  simtime::timeseries::clear();
-  telemetry::TelemetrySession::global().adjust_captures(-1);
-  metrics::MetricsSession::global().adjust_captures(-1);
-  session_state().captures.fetch_sub(1, std::memory_order_relaxed);
-}
+ScopedTraceCapture::ScopedTraceCapture()
+    : CaptureScope(&simtime::tracebuf::arm, &simtime::tracebuf::disarm) {}
 
 std::vector<simtime::tracebuf::Event> ScopedTraceCapture::drain() {
   auto events = simtime::tracebuf::drain();

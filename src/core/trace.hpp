@@ -4,21 +4,23 @@
 ///
 /// Two consumers share the engine:
 ///
-///  * TraceSession — the `-pitrace=FILE` / `CELLPILOT_TRACE` plumbing.
-///    While armed, every instrumented seam records into per-thread rings;
-///    cellpilot::run's epilogue (all threads joined) drains them into a
-///    per-job batch and rewrites the whole Chrome `chrome://tracing` JSON
-///    file, so a bench binary that runs many CellPilot jobs accumulates
-///    them all (one Chrome "process" per job).
+///  * TraceSession — the `-pitrace=FILE` / `CELLPILOT_TRACE` layer of the
+///    obs session spine (core/obs).  While armed, every instrumented seam
+///    records into per-thread rings; cellpilot::run's epilogue (all
+///    threads joined) drains them into a per-job batch and rewrites the
+///    whole Chrome `chrome://tracing` JSON file, so a bench binary that
+///    runs many CellPilot jobs accumulates them all (one Chrome "process"
+///    per job).
 ///    Because all stamps are virtual and the schedule is deterministic, two
 ///    runs of the same program produce byte-identical files — `tracecheck`
 ///    turns that into a CI oracle.
 ///
-///  * ScopedTraceCapture — the in-process test harness.  Arms the engine
-///    for a scope and hands the drained events straight to the test (the
-///    channel-matrix test asserts which Table I legs a message actually
-///    crossed).  While a capture is active the session's flush is
-///    suppressed so the two consumers never steal each other's events.
+///  * ScopedTraceCapture — the in-process test harness, an
+///    obs::CaptureScope.  Arms the engine for a scope and hands the
+///    drained events straight to the test (the channel-matrix test
+///    asserts which Table I legs a message actually crossed).  While a
+///    capture is active every session flush is suppressed so the two
+///    consumers never steal each other's events.
 ///
 /// Independent of arming, ChannelCounters aggregates always-on per-channel
 /// totals (messages, bytes, Co-Pilot hops, retries, timeouts, faults)
@@ -29,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "core/obs.hpp"
 #include "simtime/tracebuf.hpp"
 
 namespace cellpilot::trace {
@@ -97,43 +100,6 @@ struct ChannelSummary {
   ChannelStats stats;
 };
 
-/// The `-pitrace` / `CELLPILOT_TRACE` session.  Thread-safe; all methods
-/// other than armed() take an internal lock.
-class TraceSession {
- public:
-  static TraceSession& global();
-
-  /// Arm for this process with an explicit output path (`-pitrace=FILE`).
-  /// Restarts the accumulated batch list: an explicit flag means "trace
-  /// this program", not "append to whatever came before".
-  void configure(const std::string& path);
-
-  bool armed() const;
-  const std::string& path() const;
-
-  /// Drain the engine into a new batch and rewrite the output file.
-  /// Called by cellpilot::run's epilogue at full quiescence (every rank,
-  /// Co-Pilot, service and SPE thread joined).  No-op when disarmed or
-  /// while a ScopedTraceCapture is active.
-  void flush_job(const std::vector<ChannelSummary>& channels);
-
-  /// Test hook: drop all state and re-read CELLPILOT_TRACE.
-  void reset_for_tests();
-
-  /// Internal capture bookkeeping: both ScopedTraceCapture and
-  /// ScopedMetricsCapture suppress *both* session flushes so the per-job
-  /// numbering of the trace file and the metrics report stay aligned
-  /// (tools/tracestats joins them by job ordinal).
-  void adjust_captures(int delta);
-
-  /// True while any scoped capture is alive (the flight recorder's
-  /// end-of-job housekeeping must not clear rings a capture will drain).
-  bool capture_active() const;
-
- private:
-  TraceSession();
-};
-
 /// Render accumulated batches as Chrome trace JSON (exposed for tests).
 struct JobBatch {
   int job = 0;  ///< 1-based job ordinal, becomes the Chrome pid
@@ -143,16 +109,31 @@ struct JobBatch {
 };
 std::string chrome_trace_json(const std::vector<JobBatch>& batches);
 
-/// RAII test harness: clear + arm on construction, disarm + clear on
-/// destruction.  Suppresses TraceSession::flush_job for its lifetime so a
-/// test running a full CellPilot job under CELLPILOT_TRACE still sees its
-/// own events.
-class ScopedTraceCapture {
+/// The `-pitrace` / `CELLPILOT_TRACE` session: arming, the job list and
+/// the file rewrite are the obs spine's; this layer drains the engine into
+/// one JobBatch per job and renders Chrome JSON.
+class TraceSession final : public obs::Session {
+ public:
+  static TraceSession& global();
+
+ private:
+  TraceSession();
+  void arm_engine() override;
+  void disarm_engine() override;
+  void clear_engine() override;
+  void restart() override;
+  std::optional<std::string> render_job(int job,
+                                        pilot::PilotApp& app) override;
+
+  std::vector<JobBatch> batches_;
+};
+
+/// RAII test harness over obs::CaptureScope: arms the trace engine for
+/// its lifetime and hands the drained events straight to the test, while
+/// every session flush stays suppressed.
+class ScopedTraceCapture : public obs::CaptureScope {
  public:
   ScopedTraceCapture();
-  ~ScopedTraceCapture();
-  ScopedTraceCapture(const ScopedTraceCapture&) = delete;
-  ScopedTraceCapture& operator=(const ScopedTraceCapture&) = delete;
 
   /// Drain everything recorded so far (canonical order).
   std::vector<simtime::tracebuf::Event> drain();

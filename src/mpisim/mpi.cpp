@@ -6,7 +6,6 @@
 #include "mpisim/reliable.hpp"
 #include "simtime/metrics.hpp"
 #include "simtime/timeseries.hpp"
-#include "simtime/trace.hpp"
 #include "simtime/tracebuf.hpp"
 
 namespace mpisim {
@@ -48,10 +47,6 @@ void Mpi::send_impl(const void* data, std::size_t bytes, Rank dest, int tag) {
   const inject::Action act = inject::probe(me_, dest, tag, depart);
   if (act.drop) {
     // The sender paid its leg but the message never arrives.
-    simtime::Trace::global().record(
-        world_->info(me_).name, simtime::TraceKind::kMpiSend,
-        "DROPPED to=" + std::to_string(dest) + " tag=" + std::to_string(tag),
-        begin, depart);
     if (simtime::tracebuf::armed()) {
       simtime::tracebuf::record(simtime::tracebuf::Kind::kMpiDrop,
                                 world_->info(me_).name, begin, depart, bytes,
@@ -68,11 +63,6 @@ void Mpi::send_impl(const void* data, std::size_t bytes, Rank dest, int tag) {
   msg.arrival = depart + legs.transit + act.delay;
   world_->queue(dest).deposit(std::move(msg));
 
-  simtime::Trace::global().record(
-      world_->info(me_).name, simtime::TraceKind::kMpiSend,
-      "to=" + std::to_string(dest) + " tag=" + std::to_string(tag) +
-          " bytes=" + std::to_string(bytes),
-      begin, depart);
   if (simtime::tracebuf::armed()) {
     // mpisim knows tags, not channels; the trace consumer maps channel
     // tags back to channel ids at flush time.
@@ -123,10 +113,6 @@ void Mpi::send_reliable(const void* data, std::size_t bytes, Rank dest,
     if (act.drop) {
       // Legacy unrecoverable loss: the sender paid its leg, the message —
       // and any sequence-number hole it leaves — is gone for good.
-      simtime::Trace::global().record(
-          world_->info(me_).name, simtime::TraceKind::kMpiSend,
-          "DROPPED to=" + std::to_string(dest) + " tag=" + std::to_string(tag),
-          begin, depart);
       if (simtime::tracebuf::armed()) {
         simtime::tracebuf::record(simtime::tracebuf::Kind::kMpiDrop,
                                   world_->info(me_).name, begin, depart, bytes,
@@ -218,11 +204,6 @@ void Mpi::send_reliable(const void* data, std::size_t bytes, Rank dest,
     }
   }
 
-  simtime::Trace::global().record(
-      world_->info(me_).name, simtime::TraceKind::kMpiSend,
-      "to=" + std::to_string(dest) + " tag=" + std::to_string(tag) +
-          " bytes=" + std::to_string(bytes),
-      begin, depart);
   if (simtime::tracebuf::armed()) {
     simtime::tracebuf::record(simtime::tracebuf::Kind::kMpiSend,
                               world_->info(me_).name, begin, depart, bytes,
@@ -250,12 +231,6 @@ Status Mpi::recv_impl(void* data, std::size_t bytes, Rank source, int tag) {
       world_->info(me_).core, world_->same_node(msg.source, me_));
   clock().join_advance(msg.arrival, legs.receiver);
 
-  simtime::Trace::global().record(
-      world_->info(me_).name, simtime::TraceKind::kMpiRecv,
-      "from=" + std::to_string(msg.source) + " tag=" +
-          std::to_string(msg.tag) + " bytes=" +
-          std::to_string(msg.payload.size()),
-      begin, clock().now());
   if (simtime::tracebuf::armed()) {
     simtime::tracebuf::record(simtime::tracebuf::Kind::kMpiRecv,
                               world_->info(me_).name, begin, clock().now(),
@@ -317,7 +292,6 @@ Status Mpi::recv_internal(void* data, std::size_t bytes, Rank source,
 }
 
 void Mpi::barrier() {
-  const simtime::SimTime begin = clock().now();
   std::uint8_t token = 0;
   if (me_ == 0) {
     // Gather in rank order (not ANY_SOURCE) so the root's clock sequence --
@@ -332,9 +306,6 @@ void Mpi::barrier() {
     send_impl(&token, 1, 0, kTagBarrierIn);
     recv_impl(&token, 1, 0, kTagBarrierOut);
   }
-  simtime::Trace::global().record(world_->info(me_).name,
-                                  simtime::TraceKind::kBarrier, "", begin,
-                                  clock().now());
 }
 
 void Mpi::bcast(void* data, std::size_t bytes, Rank root) {

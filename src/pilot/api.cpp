@@ -8,14 +8,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "cellsim/spu.hpp"
 #include "core/checkpoint.hpp"
 #include "core/completion.hpp"
 #include "core/epoch.hpp"
 #include "core/faultplan.hpp"
-#include "core/flightrec.hpp"
 #include "core/metrics.hpp"
+#include "core/obs.hpp"
 #include "core/protocol.hpp"
 #include "core/router.hpp"
 #include "core/telemetry.hpp"
@@ -26,7 +28,6 @@
 #include "pilot/deadlock.hpp"
 #include "pilot/wire.hpp"
 #include "simtime/timeseries.hpp"
-#include "simtime/trace.hpp"
 #include "simtime/tracebuf.hpp"
 
 namespace pilot {
@@ -265,11 +266,6 @@ void write_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
   ctx.mpi().send(ws.staging.data(), ws.staging.size(), rt.write_dest, rt.tag);
   cellpilot::trace::ChannelCounters::global().add_message(ch->id,
                                                           payload_bytes);
-  simtime::Trace::global().record(
-      ctx.app().cluster().world().info(ctx.rank()).name,
-      simtime::TraceKind::kPilotCall,
-      "PI_Write " + ch->name + " " + std::to_string(payload_bytes) + "B",
-      0, ctx.mpi().clock().now());
   if (simtime::tracebuf::armed()) {
     simtime::tracebuf::record(
         simtime::tracebuf::Kind::kPilotWrite,
@@ -380,12 +376,6 @@ void read_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
   scatter(rs.plan, payload);
   charge_rank_call(ctx, rs.plan.payload_bytes);
   const simtime::SimTime call_end = ctx.mpi().clock().now();
-  simtime::Trace::global().record(
-      app.cluster().world().info(ctx.rank()).name,
-      simtime::TraceKind::kPilotCall,
-      "PI_Read " + ch->name + " " + std::to_string(rs.plan.payload_bytes) +
-          "B",
-      0, call_end);
   if (simtime::tracebuf::armed()) {
     simtime::tracebuf::record(simtime::tracebuf::Kind::kPilotRead,
                               app.cluster().world().info(ctx.rank()).name,
@@ -517,8 +507,8 @@ void record_submit(const PI_OP& op, const std::string& entity,
 /// Rank-side harvest: retires a write handle, performs the deferred
 /// receive of a read handle.  Releases `op` on every path, throwing the
 /// recorded fault for faulted operations.
-void rank_harvest(PilotContext& ctx, PI_OP& op, const char* what,
-                  const char* file, int line) {
+void rank_harvest(PilotContext& ctx, PI_OP& op, const char* file,
+                  int line) {
   cp::Engine& engine = cp::Engine::local();
   PilotApp& app = ctx.app();
   PI_CHANNEL& ch = app.channel(op.channel);
@@ -569,11 +559,6 @@ void rank_harvest(PilotContext& ctx, PI_OP& op, const char* what,
   scatter(op.plan, payload);
   charge_rank_call(ctx, op.plan.payload_bytes);
   const simtime::SimTime end = ctx.mpi().clock().now();
-  simtime::Trace::global().record(
-      entity, simtime::TraceKind::kPilotCall,
-      std::string(what) + " " + ch.name + " " +
-          std::to_string(op.plan.payload_bytes) + "B",
-      0, end);
   record_harvest(op, ch, entity, wait_begin, end);
   engine.release(&op);
 }
@@ -717,10 +702,6 @@ PI_HANDLE write_async_impl(const char* file, int line, PI_CHANNEL* ch,
       std::memory_order_relaxed);
   cp::set_state(*op, cp::State::kComplete);
   cp::OpRegistry::global().add(op, rank_entity(ctx));
-  simtime::Trace::global().record(
-      rank_entity(ctx), simtime::TraceKind::kPilotCall,
-      "PI_WriteAsync " + ch->name + " " + std::to_string(payload_bytes) + "B",
-      0, ctx.mpi().clock().now());
   record_submit(*op, rank_entity(ctx), ctx.mpi().clock().now());
   return op;
 }
@@ -802,11 +783,6 @@ PI_HANDLE read_async_impl(const char* file, int line, PI_CHANNEL* ch,
   }
   if (!doomed) cp::set_state(*op, cp::State::kInFlight);
   cp::OpRegistry::global().add(op, rank_entity(ctx));
-  simtime::Trace::global().record(
-      rank_entity(ctx), simtime::TraceKind::kPilotCall,
-      "PI_ReadAsync " + ch->name + " " +
-          std::to_string(op->plan.payload_bytes) + "B",
-      0, ctx.mpi().clock().now());
   record_submit(*op, rank_entity(ctx), ctx.mpi().clock().now());
   return op;
 }
@@ -843,10 +819,9 @@ int PI_Configure(int* argc, char*** argv) {
 
   Options opts;
   std::string fault_spec;
-  std::string trace_file;
-  std::string metrics_file;
-  std::string flightrec_file;
-  std::string telemetry_file;
+  // -pitrace= / -pimetrics= / -pitelemetry= / -piflightrec=: observability
+  // output files; each overrides its session's environment baseline.
+  std::vector<std::pair<cellpilot::obs::Session*, std::string>> obs_files;
   simtime::SimTime telemetry_window = 0;
   bool have_fault_spec = false;
   bool have_respawn = false;
@@ -858,31 +833,18 @@ int PI_Configure(int* argc, char*** argv) {
       const char* a = (*argv)[i];
       if (std::strcmp(a, "-pisvc=d") == 0) {
         opts.deadlock_detection = true;
-      } else if (std::strcmp(a, "-pisvc=t") == 0) {
-        opts.trace_calls = true;
       } else if (std::strncmp(a, "-pifault=", 9) == 0) {
         // Fault-injection plan; overrides the CELLPILOT_FAULTS baseline.
         fault_spec = a + 9;
         have_fault_spec = true;
-      } else if (std::strncmp(a, "-pitrace=", 9) == 0) {
-        // Trace session output file; overrides the CELLPILOT_TRACE baseline.
-        if (a[9] == '\0') {
-          throw PilotError(ErrorCode::kUsage, "-pitrace= needs a file name");
+      } else if (cellpilot::obs::Session* session =
+                     cellpilot::obs::session_for_flag(a)) {
+        const char* file = a + std::strlen(session->flag());
+        if (file[0] == '\0') {
+          throw PilotError(ErrorCode::kUsage, std::string(session->flag()) +
+                                                  " needs a file name");
         }
-        trace_file = a + 9;
-      } else if (std::strncmp(a, "-pimetrics=", 11) == 0) {
-        // Metrics report file; overrides the CELLPILOT_METRICS baseline.
-        if (a[11] == '\0') {
-          throw PilotError(ErrorCode::kUsage, "-pimetrics= needs a file name");
-        }
-        metrics_file = a + 11;
-      } else if (std::strncmp(a, "-piflightrec=", 13) == 0) {
-        // Flight-recorder postmortem file; overrides CELLPILOT_FLIGHTREC.
-        if (a[13] == '\0') {
-          throw PilotError(ErrorCode::kUsage,
-                           "-piflightrec= needs a file name");
-        }
-        flightrec_file = a + 13;
+        obs_files.emplace_back(session, file);
       } else if (std::strncmp(a, "-pitelemetryevery=", 18) == 0) {
         // Windowed-telemetry bucket width in virtual microseconds.
         char* end = nullptr;
@@ -892,14 +854,6 @@ int PI_Configure(int* argc, char*** argv) {
                            std::string("bad -pitelemetryevery value: ") + a);
         }
         telemetry_window = simtime::us(v);
-      } else if (std::strncmp(a, "-pitelemetry=", 13) == 0) {
-        // Windowed telemetry report file; overrides the CELLPILOT_TELEMETRY
-        // baseline.
-        if (a[13] == '\0') {
-          throw PilotError(ErrorCode::kUsage,
-                           "-pitelemetry= needs a file name");
-        }
-        telemetry_file = a + 13;
       } else if (std::strncmp(a, "-pideadline=", 12) == 0) {
         // SPE request deadline in virtual microseconds.
         char* end = nullptr;
@@ -1009,27 +963,13 @@ int PI_Configure(int* argc, char*** argv) {
     // machinery: same base deadline, same doubling retry budget.
     mpisim::reliable::set_backoff(opts.spe_deadline,
                                   opts.spe_deadline_retries);
-    // -pisvc=t: record every modelled primitive in the global event trace.
-    if (opts.trace_calls) simtime::Trace::global().set_enabled(true);
-    if (!trace_file.empty()) {
-      cellpilot::trace::TraceSession::global().configure(trace_file);
-    }
-    if (!metrics_file.empty()) {
-      cellpilot::metrics::MetricsSession::global().configure(metrics_file);
-    }
-    if (!flightrec_file.empty()) {
-      cellpilot::flightrec::FlightRecorder::global().configure(flightrec_file);
-    }
     // -pitelemetryevery applies to env-armed sessions too, so set the
     // window before any traffic can bucket a sample, flag-armed or not.
     if (telemetry_window > 0) {
       cellpilot::telemetry::TelemetrySession::global().configure_window(
           telemetry_window);
     }
-    if (!telemetry_file.empty()) {
-      cellpilot::telemetry::TelemetrySession::global().configure(
-          telemetry_file);
-    }
+    for (const auto& [session, file] : obs_files) session->configure(file);
     // -pickpt: arm the coordinated checkpoint session for this job.  An
     // empty path (the default) leaves it disarmed and the call is a no-op,
     // preserving byte-identical clean-path behaviour.
@@ -1441,7 +1381,7 @@ void PI_Wait_(const char* file, int line, PI_HANDLE h) {
     return;
   }
   PilotContext& ctx = ctx_in_phase(Phase::kExecution, "PI_Wait", file, line);
-  rank_harvest(ctx, op, "PI_Wait", file, line);
+  rank_harvest(ctx, op, file, line);
 }
 
 int PI_Test_(const char* file, int line, PI_HANDLE h) {
@@ -1457,7 +1397,7 @@ int PI_Test_(const char* file, int line, PI_HANDLE h) {
     charge_rank_call(ctx, 0);
     if (!ctx.mpi().iprobe(rt.read_source, rt.tag)) return 0;
   }
-  rank_harvest(ctx, op, "PI_Test", file, line);
+  rank_harvest(ctx, op, file, line);
   return 1;
 }
 
@@ -1482,7 +1422,7 @@ int PI_WaitAny_(const char* file, int line, PI_HANDLE* handles, int count) {
   // fault recorded at submission must surface): harvest the lowest index.
   for (int i = 0; i < count; ++i) {
     if (cpn::is_settled(*handles[i])) {
-      rank_harvest(ctx, *handles[i], "PI_WaitAny", file, line);
+      rank_harvest(ctx, *handles[i], file, line);
       return i;
     }
   }
@@ -1497,7 +1437,7 @@ int PI_WaitAny_(const char* file, int line, PI_HANDLE* handles, int count) {
   mpisim::MatchQueue& queue = ctx.app().cluster().world().queue(ctx.rank());
   if (const auto hit = queue.try_probe_any(patterns)) {
     const int i = static_cast<int>(hit->first);
-    rank_harvest(ctx, *handles[i], "PI_WaitAny", file, line);
+    rank_harvest(ctx, *handles[i], file, line);
     return i;
   }
   // Nothing ready: an operation whose writer already died (with nothing
@@ -1512,7 +1452,7 @@ int PI_WaitAny_(const char* file, int line, PI_HANDLE* handles, int count) {
         op.status.store(failure->status, std::memory_order_relaxed);
         op.fault_detail = failure->detail;
         cpn::set_state(op, cpn::State::kFaulted);
-        rank_harvest(ctx, op, "PI_WaitAny", file, line);  // throws
+        rank_harvest(ctx, op, file, line);  // throws
         return i;
       }
     }
@@ -1524,7 +1464,7 @@ int PI_WaitAny_(const char* file, int line, PI_HANDLE* handles, int count) {
   const auto [index, env] = queue.probe_any_blocking(patterns);
   notify_unblock(ctx);
   const int i = static_cast<int>(index);
-  rank_harvest(ctx, *handles[i], "PI_WaitAny", file, line);
+  rank_harvest(ctx, *handles[i], file, line);
   return i;
 }
 
@@ -1807,20 +1747,16 @@ int PI_MyProcess(void) {
   return context().my_process;
 }
 
-void PI_Log_(const char* file, int line, const char* message) {
-  std::string who = "P" + std::to_string(PI_MyProcess());
-  simtime::SimTime now = 0;
-  if (SpeDispatch* sd = spe_dispatch()) {
-    (void)sd;
-    now = cellsim::spu::self().clock().now();
-  } else {
-    now = context().mpi().clock().now();
-  }
-  simtime::Trace::global().record(
-      who, simtime::TraceKind::kOther,
-      std::string(message ? message : "") + " (" + (file ? file : "?") +
-          ":" + std::to_string(line) + ")",
-      now, now);
+void PI_Log_(const char* /*file*/, int line, const char* /*message*/) {
+  // A kUser instant in the -pitrace file: entity P<n>, aux = source line.
+  const int pid = PI_MyProcess();
+  if (!simtime::tracebuf::armed()) return;
+  const simtime::SimTime now = spe_dispatch() != nullptr
+                                   ? cellsim::spu::self().clock().now()
+                                   : context().mpi().clock().now();
+  simtime::tracebuf::record(simtime::tracebuf::Kind::kUser,
+                            "P" + std::to_string(pid), now, now, 0,
+                            /*channel=*/-1, /*route_type=*/0, line);
 }
 
 void PI_Abort_(const char* file, int line, int code, const char* message) {

@@ -302,8 +302,10 @@ int PI_ProcessCount(void);
 /// execution phase on rank- and SPE-side alike.
 int PI_MyProcess(void);
 
-/// Records a user event in the job's event log (visible with -pisvc=t);
-/// callable from rank and SPE processes alike.
+/// Records a user event in the job's trace: a `user` instant from entity
+/// P<n> whose aux is the calling source line, visible in the -pitrace file
+/// (the message text is not recorded).  Callable from rank and SPE
+/// processes alike; costs one relaxed load when tracing is disarmed.
 void PI_Log_(const char* file, int line, const char* message);
 #define PI_Log(message) PI_Log_(__FILE__, __LINE__, message)
 

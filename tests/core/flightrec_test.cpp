@@ -13,6 +13,7 @@
 #include "core/cellpilot.hpp"
 #include "core/faultplan.hpp"
 #include "core/flightrec.hpp"
+#include "core/obs.hpp"
 #include "pilot/errors.hpp"
 
 namespace {
@@ -43,12 +44,12 @@ std::string slurp(const std::string& path) {
 class FlightRecTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    FlightRecorder::global().reset_for_tests();
+    cellpilot::obs::reset_for_tests();
     g_main_code.store(-1);
   }
   void TearDown() override {
     FaultPlan::global().reset();
-    FlightRecorder::global().reset_for_tests();
+    cellpilot::obs::reset_for_tests();
   }
 };
 

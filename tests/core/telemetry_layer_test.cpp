@@ -16,6 +16,7 @@
 #include "core/cellpilot.hpp"
 #include "core/flightrec.hpp"
 #include "core/metrics.hpp"
+#include "core/obs.hpp"
 #include "core/telemetry.hpp"
 #include "core/trace.hpp"
 #include "pilot/errors.hpp"
@@ -201,20 +202,21 @@ TEST(TelemetryNeutrality, ArmingDoesNotPerturbVirtualTime) {
 
 // CELLPILOT_TELEMETRY="" (and its trace / metrics / flight-recorder
 // siblings) must keep the feature disarmed: an empty value is a disarm
-// baseline, not an instruction to open an unnamed file.  reset_for_tests
-// re-reads the environment through the same guard the session constructor
-// uses, so this exercises the arming decision itself.
+// baseline, not an instruction to open an unnamed file.  The obs reset
+// re-reads every environment variable through the same guard first touch
+// uses, so this exercises the arming decision itself — loud-ignore notes
+// included.
 class EmptyEnvBaselineTest : public ::testing::Test {
  protected:
+  // Construct every session under the unset environment first, so the
+  // notes a test captures are the reset's alone.
+  void SetUp() override { cellpilot::obs::begin_job(); }
   void TearDown() override {
     ::unsetenv("CELLPILOT_TELEMETRY");
     ::unsetenv("CELLPILOT_TRACE");
     ::unsetenv("CELLPILOT_METRICS");
     ::unsetenv("CELLPILOT_FLIGHTREC");
-    cellpilot::telemetry::TelemetrySession::global().reset_for_tests();
-    cellpilot::trace::TraceSession::global().reset_for_tests();
-    cellpilot::metrics::MetricsSession::global().reset_for_tests();
-    cellpilot::flightrec::FlightRecorder::global().reset_for_tests();
+    cellpilot::obs::reset_for_tests();
   }
 };
 
@@ -223,10 +225,18 @@ TEST_F(EmptyEnvBaselineTest, EmptyValuesKeepEverySessionDisarmed) {
   ::setenv("CELLPILOT_TRACE", "", 1);
   ::setenv("CELLPILOT_METRICS", "", 1);
   ::setenv("CELLPILOT_FLIGHTREC", "", 1);
-  cellpilot::telemetry::TelemetrySession::global().reset_for_tests();
-  cellpilot::trace::TraceSession::global().reset_for_tests();
-  cellpilot::metrics::MetricsSession::global().reset_for_tests();
-  cellpilot::flightrec::FlightRecorder::global().reset_for_tests();
+  ::testing::internal::CaptureStderr();
+  cellpilot::obs::reset_for_tests();
+  const std::string notes = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(notes,
+            "cellpilot: ignoring empty CELLPILOT_TRACE "
+            "(tracing stays disarmed)\n"
+            "cellpilot: ignoring empty CELLPILOT_METRICS "
+            "(metrics stay disarmed)\n"
+            "cellpilot: ignoring empty CELLPILOT_TELEMETRY "
+            "(telemetry stays disarmed)\n"
+            "cellpilot: ignoring empty CELLPILOT_FLIGHTREC "
+            "(flight recorder stays disarmed)\n");
   EXPECT_FALSE(cellpilot::telemetry::TelemetrySession::global().armed());
   EXPECT_FALSE(cellpilot::trace::TraceSession::global().armed());
   EXPECT_FALSE(cellpilot::metrics::MetricsSession::global().armed());
@@ -236,7 +246,7 @@ TEST_F(EmptyEnvBaselineTest, EmptyValuesKeepEverySessionDisarmed) {
 
 TEST_F(EmptyEnvBaselineTest, NonEmptyValuesStillArmAfterAReset) {
   ::setenv("CELLPILOT_TELEMETRY", "env_tel.json", 1);
-  cellpilot::telemetry::TelemetrySession::global().reset_for_tests();
+  cellpilot::obs::reset_for_tests();
   EXPECT_TRUE(cellpilot::telemetry::TelemetrySession::global().armed());
   EXPECT_EQ(cellpilot::telemetry::TelemetrySession::global().path(),
             "env_tel.json");
@@ -246,12 +256,12 @@ TEST_F(EmptyEnvBaselineTest, TelemetryWindowEnvParsesOrIsLoudlyIgnored) {
   const simtime::SimTime before = ts::window();
   // A positive microsecond count takes effect at session (re)construction.
   ::setenv("CELLPILOT_TELEMETRY_EVERY", "25", 1);
-  cellpilot::telemetry::TelemetrySession::global().reset_for_tests();
+  cellpilot::obs::reset_for_tests();
   EXPECT_EQ(ts::window(), simtime::us(25));
   // Garbage and non-positive values must leave the window alone.
   for (const char* bad : {"banana", "0", "-5", "10us"}) {
     ::setenv("CELLPILOT_TELEMETRY_EVERY", bad, 1);
-    cellpilot::telemetry::TelemetrySession::global().reset_for_tests();
+    cellpilot::obs::reset_for_tests();
     EXPECT_EQ(ts::window(), simtime::us(25)) << "value: " << bad;
   }
   ::unsetenv("CELLPILOT_TELEMETRY_EVERY");

@@ -3,7 +3,7 @@
 // report through benchjson, PI_GetTelemetrySnapshot honours the metrics
 // harvest contract (PI_ERR_PHASE before PI_StartAll, totals final after
 // PI_StopMain, all-zero when disarmed), and two seeded runs leave
-// byte-identical report files — the property the telemetry-parity CI job
+// byte-identical report files — the property the parity CI job
 // pins on the real binaries.
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 
 #include "benchkit/benchjson.hpp"
 #include "core/cellpilot.hpp"
+#include "core/obs.hpp"
 #include "core/telemetry.hpp"
 #include "pilot/errors.hpp"
 #include "simtime/timeseries.hpp"
@@ -99,11 +100,11 @@ int telemetry_job(int argc, char** argv) {
 class TelemetryE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    cellpilot::telemetry::TelemetrySession::global().reset_for_tests();
+    cellpilot::obs::reset_for_tests();
     g_sum.store(0);
   }
   void TearDown() override {
-    cellpilot::telemetry::TelemetrySession::global().reset_for_tests();
+    cellpilot::obs::reset_for_tests();
   }
 };
 
@@ -154,7 +155,7 @@ TEST_F(TelemetryE2eTest, TwoSeededRunsLeaveByteIdenticalReports) {
   const std::string path = report_path("telemetry_parity");
   auto one_run = [&] {
     std::remove(path.c_str());
-    cellpilot::telemetry::TelemetrySession::global().reset_for_tests();
+    cellpilot::obs::reset_for_tests();
     cluster::Cluster machine = one_cell();
     const auto r = cellpilot::run(machine, telemetry_job, armed_opts(path));
     EXPECT_FALSE(r.aborted) << r.abort_reason;

@@ -8,8 +8,8 @@
 #include <cstring>
 
 #include "core/cellpilot.hpp"
+#include "core/trace.hpp"
 #include "pilot/errors.hpp"
-#include "simtime/trace.hpp"
 
 namespace {
 
@@ -44,7 +44,7 @@ TEST(PilotApi, ConfigureStripsPilotOptions) {
   cluster::Cluster machine = xeon_cluster(1);
   std::atomic<int> remaining{-1};
   cellpilot::RunOptions opts;
-  opts.args = {"-pisvc=x-not-ours", "-pisvc=t"};
+  opts.args = {"-pisvc=x-not-ours", "-pirespawn=0"};
   const auto r = cellpilot::run(
       machine,
       [&](int argc, char** argv) {
@@ -56,7 +56,6 @@ TEST(PilotApi, ConfigureStripsPilotOptions) {
         return 0;
       },
       opts);
-  simtime::Trace::global().set_enabled(false);  // undo -pisvc=t
   EXPECT_FALSE(r.aborted) << r.abort_reason;
   EXPECT_EQ(remaining.load(), 2);  // program name + unknown arg survive
 }
@@ -466,23 +465,26 @@ TEST(PilotApi, PiLogRecordsIntoTheTrace) {
   cluster::ClusterConfig config;
   config.nodes.push_back(cluster::NodeSpec::xeon(1));
   cluster::Cluster machine(std::move(config));
-  simtime::ScopedTrace scoped;
+  cellpilot::trace::ScopedTraceCapture capture;
+  int log_line = 0;
   const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
     PI_Configure(&argc, &argv);
     PI_StartAll();
+    log_line = __LINE__ + 1;
     PI_Log("phase one complete");
     PI_StopMain(0);
     return 0;
   });
   ASSERT_FALSE(r.aborted) << r.abort_reason;
-  bool found = false;
-  for (const auto& e : simtime::Trace::global().events()) {
-    if (e.detail.find("phase one complete") != std::string::npos) {
-      found = true;
-      EXPECT_EQ(e.entity, "P0");
-    }
+  int found = 0;
+  for (const auto& e : capture.drain()) {
+    if (e.kind != simtime::tracebuf::Kind::kUser) continue;
+    ++found;
+    EXPECT_STREQ(e.entity, "P0");
+    EXPECT_EQ(e.aux, log_line);
+    EXPECT_EQ(e.begin, e.end) << "a log line is an instant";
   }
-  EXPECT_TRUE(found);
+  EXPECT_EQ(found, 1);
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
-// Unit tests for the Stats accumulator and the event Trace.
+// Unit tests for the Stats accumulator.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "simtime/stats.hpp"
-#include "simtime/trace.hpp"
 
 namespace {
 
@@ -51,32 +50,6 @@ TEST(Stats, ResetClears) {
   s.reset();
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.sum(), 0.0);
-}
-
-TEST(Trace, DisabledRecordsNothing) {
-  Trace::global().clear();
-  Trace::global().set_enabled(false);
-  Trace::global().record("x", TraceKind::kDma, "", 0, 1);
-  EXPECT_TRUE(Trace::global().events().empty());
-}
-
-TEST(Trace, ScopedTraceCollectsAndStops) {
-  {
-    ScopedTrace scoped;
-    Trace::global().record("spe0", TraceKind::kDma, "get 16B", 0, us(14));
-    Trace::global().record("spe0", TraceKind::kMailboxWrite, "", us(14),
-                           us(15));
-    EXPECT_EQ(Trace::global().events().size(), 2u);
-    EXPECT_EQ(Trace::global().count(TraceKind::kDma), 1u);
-    EXPECT_EQ(Trace::global().count(TraceKind::kMpiSend), 0u);
-  }
-  EXPECT_FALSE(Trace::global().enabled());
-}
-
-TEST(Trace, KindNamesAreStable) {
-  EXPECT_STREQ(to_string(TraceKind::kDma), "dma");
-  EXPECT_STREQ(to_string(TraceKind::kCopilotService), "copilot_service");
-  EXPECT_STREQ(to_string(TraceKind::kPilotCall), "pilot_call");
 }
 
 }  // namespace
