@@ -153,52 +153,66 @@ class CopilotService {
     std::map<int, std::size_t> reads_seen;
   };
 
- public:
-  /// The journal a crashing Co-Pilot throws (the copilot_crash fault
-  /// kind): the crash stamp, the request it died holding, and every piece
-  /// of dynamic service state a standby needs to resume.  The channel and
-  /// route tables are compiled state (app_) and need no replay.
-  struct Crash {
-    SimTime stamp = 0;
-    ReadyRequest inflight;
+  /// Every piece of the Co-Pilot's dynamic state: what a standby inherits
+  /// after a crash and what a blade successor inherits after a kill.  The
+  /// channel and route tables are compiled state (app_) and need no
+  /// hand-off.
+  struct ServiceState {
+    std::vector<Assembly> assembly;  ///< one per SPE slot
     std::vector<ReadyRequest> ready;
-    std::vector<Assembly> assembly;
+    // Insertion order is preserved for equal keys, so each channel's
+    // parked requests form a FIFO — several async operations from one SPE
+    // may be parked at once.
     std::multimap<int, Pending> writes;
     std::multimap<int, Pending> reads;
+    /// SPEs whose fault notice has been consumed.
     std::set<unsigned> dead_spes;
+    /// Channels poisoned by an endpoint's death: later requests complete
+    /// immediately with the stored error status.
     std::map<int, CompletionStatus> dead_channels;
+    /// Processes this Co-Pilot declared failed, with the status their
+    /// peers receive.
     std::map<int, CompletionStatus> failed;
+    /// Replay journals, keyed by process id (empty unless journaling).
     std::map<int, Journal> journal;
+    /// Respawn bookkeeping of supervised processes (budget, cursors).
     std::map<int, RespawnState> respawns;
   };
 
+ public:
+  /// What a crashing Co-Pilot throws (the copilot_crash fault kind): the
+  /// crash stamp, the request it died holding, and the service state a
+  /// standby resumes from.
+  struct Crash {
+    SimTime stamp = 0;
+    ReadyRequest inflight;
+    ServiceState state;
+  };
+
   /// What a blade_kill fault throws: the whole blade died — every SPE
-  /// context plus the Co-Pilot.  Unlike Crash, the SPE-side dynamic state
-  /// (ready queue, assemblies, parked ops) dies with the blade; what
-  /// survives is the delivery journal — the message log that, together
-  /// with the last committed checkpoint, lets the successor relaunch the
-  /// lost contexts with exactly-once delivery across the cut.
+  /// context plus the Co-Pilot.  Unlike Crash, the SPE-side parts of the
+  /// state (ready queue, assemblies, parked ops) die with the blade and
+  /// are thrown reset; what survives is the delivery journal — the
+  /// message log that, together with the last committed checkpoint, lets
+  /// the successor relaunch the lost contexts with exactly-once delivery
+  /// across the cut.
   struct BladeLoss {
     SimTime stamp = 0;
     std::uint64_t serviced = 0;  ///< keeps the checkpoint cadence
     std::vector<std::pair<int, unsigned>> victims;  ///< (pid, dead slot)
-    std::set<unsigned> dead_spes;
-    std::map<int, CompletionStatus> dead_channels;
-    std::map<int, CompletionStatus> failed;
-    std::map<int, Journal> journal;
-    std::map<int, RespawnState> respawns;
+    ServiceState state;
   };
 
   /// `crash` non-null constructs a standby taking over from the journal.
   CopilotService(mpisim::Mpi& mpi, PilotApp& app, int node,
-                 const Crash* crash = nullptr)
+                 Crash* crash = nullptr)
       : mpi_(mpi),
         app_(app),
         node_(node),
         blade_(app.cluster().blade(node)),
         cost_(app.cluster().cost()),
-        assembly_(blade_.spe_count()),
         published_bound_(app.cluster().copilot_bound(node)) {
+    state_.assembly.resize(blade_.spe_count());
     if (crash != nullptr) recover(*crash);
   }
 
@@ -247,9 +261,9 @@ class CopilotService {
           return 0;
         }
         case Candidate::kRequest: {
-          const ReadyRequest ready = ready_requests_[candidate->index];
-          ready_requests_.erase(ready_requests_.begin() +
-                                static_cast<std::ptrdiff_t>(candidate->index));
+          const ReadyRequest ready = state_.ready[candidate->index];
+          state_.ready.erase(state_.ready.begin() +
+                             static_cast<std::ptrdiff_t>(candidate->index));
           process_request(ready);
           break;
         }
@@ -257,11 +271,11 @@ class CopilotService {
           // lower_bound = the *oldest* parked read on the channel (the
           // multimap preserves insertion order for equal keys): frames on
           // one channel arrive in order, so they pair FIFO.
-          auto it = pending_reads_.lower_bound(candidate->channel);
-          if (it != pending_reads_.end() &&
+          auto it = state_.reads.lower_bound(candidate->channel);
+          if (it != state_.reads.end() &&
               it->first == candidate->channel &&
               complete_mpi_read(it->second)) {
-            pending_reads_.erase(it);
+            state_.reads.erase(it);
             record_parked_gauge();
           }
           break;
@@ -276,8 +290,8 @@ class CopilotService {
           const unsigned s = candidate->spe;
           const cellsim::Spe::FaultNotice* notice =
               blade_.spe(s).fault_notice();
-          dead_spes_.insert(s);
-          assembly_[s] = Assembly{};  // a partial request dies with it
+          state_.dead_spes.insert(s);
+          state_.assembly[s] = Assembly{};  // a partial request dies with it
           clock().join(notice->stamp);
           const int pid = app_.spe_process(node_, s);
           if (!try_respawn(pid, s, *notice)) {
@@ -304,39 +318,26 @@ class CopilotService {
     auto& session = ckpt::CheckpointSession::global();
     const bool restore = session.armed() && session.has_committed();
     serviced_ = loss.serviced;
-    dead_spes_ = std::move(loss.dead_spes);
-    dead_channels_ = std::move(loss.dead_channels);
-    failed_ = std::move(loss.failed);
-    journal_ = std::move(loss.journal);
-    respawns_ = std::move(loss.respawns);
+    state_ = std::move(loss.state);
     for (const auto& [pid, slot] : loss.victims) {
-      dead_spes_.insert(slot);
-      if (auto rit = respawns_.find(pid); rit != respawns_.end()) {
+      state_.dead_spes.insert(slot);
+      if (auto rit = state_.respawns.find(pid); rit != state_.respawns.end()) {
         rit->second.alive = false;
       }
     }
-    if (!restore) {
-      for (const auto& [pid, slot] : loss.victims) {
-        supervision::g_faults.fetch_add(1);
-        fail_process(
-            pid, CompletionStatus::kSpeFault,
-            static_cast<std::uint32_t>(cellsim::FaultCode::kInjected),
-            "blade " + blade_.name() +
-                " killed with no committed checkpoint: process " +
-                app_.process(pid).name + " lost");
-      }
-      return;
-    }
     for (const auto& [pid, slot] : loss.victims) {
-      if (!restore_one(pid, loss.stamp)) {
-        supervision::g_faults.fetch_add(1);
-        fail_process(
-            pid, CompletionStatus::kSpeFault,
-            static_cast<std::uint32_t>(cellsim::FaultCode::kInjected),
-            "blade " + blade_.name() + " restore failed for process " +
-                app_.process(pid).name);
-      }
+      if (restore && restore_one(pid, loss.stamp)) continue;
+      const std::string name = app_.process(pid).name;
+      supervision::g_faults.fetch_add(1);
+      fail_process(
+          pid, CompletionStatus::kSpeFault,
+          static_cast<std::uint32_t>(cellsim::FaultCode::kInjected),
+          "blade " + blade_.name() +
+              (restore ? " restore failed for process " + name
+                       : " killed with no committed checkpoint: process " +
+                             name + " lost"));
     }
+    if (!restore) return;
     flightrec::FlightRecorder::global().dump(
         "blade_restore: " + blade_.name() + " from checkpoint cut " +
         std::to_string(session.committed_cut()));
@@ -347,7 +348,7 @@ class CopilotService {
     enum Kind { kRequest, kMpiData, kShutdown, kSpeFault };
     SimTime stamp = 0;
     Kind kind = kRequest;
-    std::size_t index = 0;  ///< into ready_requests_ for kRequest
+    std::size_t index = 0;  ///< into state_.ready for kRequest
     int channel = -1;       ///< pending-read channel for kMpiData
     unsigned spe = 0;       ///< issuing SPE for kRequest (tie-breaking)
 
@@ -372,9 +373,9 @@ class CopilotService {
     for (unsigned s = 0; s < blade_.spe_count(); ++s) {
       // A blade_kill closes its victims' mailboxes; polling a closed,
       // empty mailbox throws.  A dead slot has nothing to say anyway.
-      if (dead_spes_.count(s) != 0) continue;
+      if (state_.dead_spes.count(s) != 0) continue;
       while (auto entry = blade_.spe(s).outbound_mailbox().try_pop()) {
-        Assembly& a = assembly_[s];
+        Assembly& a = state_.assembly[s];
         if (a.n == 0) a.first_stamp = entry->stamp;
         a.words[a.n++] = entry->value;
         a.last_stamp = entry->stamp;
@@ -388,7 +389,7 @@ class CopilotService {
           ready.spe = s;
           ready.stamp = a.last_stamp;
           ready.first_stamp = a.first_stamp;
-          ready_requests_.push_back(ready);
+          state_.ready.push_back(ready);
           a.n = 0;
         }
       }
@@ -405,7 +406,7 @@ class CopilotService {
     // A dead SPE's clock is frozen at its death stamp and must not pin the
     // safe time: its fault notice is itself a candidate at that stamp, so
     // ordering is preserved without the bound.
-    if (dead_spes_.count(s) != 0) return kForever;
+    if (state_.dead_spes.count(s) != 0) return kForever;
     if (blade_.spe(s).fault_notice() != nullptr) return kForever;
     if (!app_.spe_assigned(node_, s)) return kForever;
     cellsim::Spe& spe = blade_.spe(s);
@@ -422,12 +423,12 @@ class CopilotService {
   void publish_bound() {
     SimTime bound = kForever;
     for (unsigned s = 0; s < blade_.spe_count(); ++s) {
-      if (assembly_[s].n > 0) {
-        bound = std::min(bound, assembly_[s].last_stamp);
+      if (state_.assembly[s].n > 0) {
+        bound = std::min(bound, state_.assembly[s].last_stamp);
       }
       bound = std::min(bound, spe_bound(s));
     }
-    for (const ReadyRequest& r : ready_requests_) {
+    for (const ReadyRequest& r : state_.ready) {
       bound = std::min(bound, r.stamp);
     }
     published_bound_.store(bound, std::memory_order_release);
@@ -461,12 +462,12 @@ class CopilotService {
     auto consider = [&best](Candidate c) {
       if (!best || c.before(*best)) best = c;
     };
-    for (std::size_t i = 0; i < ready_requests_.size(); ++i) {
-      consider({ready_requests_[i].stamp, Candidate::kRequest, i, -1,
-                ready_requests_[i].spe});
+    for (std::size_t i = 0; i < state_.ready.size(); ++i) {
+      consider({state_.ready[i].stamp, Candidate::kRequest, i, -1,
+                state_.ready[i].spe});
     }
     int last_channel = -1;
-    for (const auto& [channel, p] : pending_reads_) {
+    for (const auto& [channel, p] : state_.reads) {
       if (channel == last_channel) continue;  // only the FIFO head pairs
       last_channel = channel;
       if (p.expected_source == mpisim::kAnySource) continue;  // type 4
@@ -486,7 +487,7 @@ class CopilotService {
       }
     }
     for (unsigned s = 0; s < blade_.spe_count(); ++s) {
-      if (dead_spes_.count(s) != 0) continue;
+      if (state_.dead_spes.count(s) != 0) continue;
       if (const auto* notice = blade_.spe(s).fault_notice()) {
         consider({notice->stamp, Candidate::kSpeFault, 0, -1, s});
       }
@@ -545,7 +546,7 @@ class CopilotService {
     if (!journaling()) return;
     const int pid = app_.spe_process(node_, spe);
     if (pid < 0) return;
-    journal_[pid].writes[req.channel].push_back(
+    state_.journal[pid].writes[req.channel].push_back(
         JournalOp{req.signature, req.length, {}});
     record_journal_gauge(pid, req.channel);
   }
@@ -558,7 +559,7 @@ class CopilotService {
     if (!journaling()) return;
     const int pid = app_.spe_process(node_, spe);
     if (pid < 0) return;
-    journal_[pid].reads[req.channel].push_back(
+    state_.journal[pid].reads[req.channel].push_back(
         JournalOp{req.signature, req.length,
                   std::vector<std::byte>(payload.begin(), payload.end())});
     record_journal_gauge(pid, req.channel);
@@ -569,7 +570,7 @@ class CopilotService {
   /// thread in stamp order, so the length is deterministic.
   void record_journal_gauge(int pid, int channel) {
     if (!simtime::timeseries::armed()) return;
-    const Journal& j = journal_[pid];
+    const Journal& j = state_.journal[pid];
     std::int64_t len = 0;
     for (const auto& [c, ops] : j.writes) len += std::ssize(ops);
     for (const auto& [c, ops] : j.reads) len += std::ssize(ops);
@@ -585,10 +586,10 @@ class CopilotService {
   /// stops pinning the flag.
   bool respawn_in_progress() {
     bool any = false;
-    for (auto& [pid, rs] : respawns_) {
+    for (auto& [pid, rs] : state_.respawns) {
       if (!rs.alive) continue;
       if (!app_.spe_assigned(node_, rs.flat) ||
-          dead_spes_.count(rs.flat) != 0) {
+          state_.dead_spes.count(rs.flat) != 0) {
         rs.alive = false;
         continue;
       }
@@ -609,7 +610,7 @@ class CopilotService {
                    const cellsim::Spe::FaultNotice& notice) {
     const int budget = app_.options().respawn_budget;
     if (budget <= 0 || pid < 0) return false;
-    RespawnState& rs = respawns_[pid];
+    RespawnState& rs = state_.respawns[pid];
     if (rs.attempts >= budget) return false;
     const auto seed = app_.respawn_seed(pid);
     if (!seed || seed->program == nullptr) return false;
@@ -634,79 +635,16 @@ class CopilotService {
     // The dead incarnation's queued and parked requests die with it: the
     // new occupant re-issues everything from its program start.  Sync
     // parked ops had reported themselves blocked; retract those reports.
-    ready_requests_.erase(
-        std::remove_if(
-            ready_requests_.begin(), ready_requests_.end(),
-            [&](const ReadyRequest& r) { return r.spe == dead_slot; }),
-        ready_requests_.end());
-    const auto purge = [&](std::multimap<int, Pending>& parked) {
-      for (auto it = parked.begin(); it != parked.end();) {
-        if (it->second.spe != dead_slot) {
-          ++it;
-          continue;
-        }
-        const Pending p = it->second;
-        it = parked.erase(it);
-        if (!request_is_async(p.req)) {
-          pilot::notify_unblock_proxy(mpi_, app_, pid);
-        }
-      }
-    };
-    purge(pending_writes_);
-    purge(pending_reads_);
+    std::erase_if(state_.ready,
+                  [&](const ReadyRequest& r) { return r.spe == dead_slot; });
+    sweep_parked([&](int, const Pending& p) { return p.spe == dead_slot; });
     record_parked_gauge();
 
-    // New writer incarnation on every channel the process writes: readers
-    // discard stale-epoch fault frames, and the reliable receive windows
-    // tombstone the dead incarnation's undelivered frames.  Whatever the
-    // sweep tombstoned was journaled as delivered but never arrived — pop
-    // those entries so the new incarnation re-relays exactly them.
-    // Reader-side channels keep their epoch: in-flight frames pair FIFO
-    // with the re-issued reads past the replay cursor.
-    Journal& j = journal_[pid];
-    for (int c = 0; c < app_.channel_count(); ++c) {
-      const PI_CHANNEL& ch = app_.channel(c);
-      if (ch.from != pid && ch.to != pid) continue;
-      trace::ChannelCounters::global().add_respawn(c);
-      if (ch.from != pid) continue;
-      const std::uint32_t fresh = epochs::bump(c);
-      const Route* rt = ch.route;
-      if (rt != nullptr &&
-          (rt->copilot_write == CopilotWriteAction::kRelayToRank ||
-           rt->copilot_write == CopilotWriteAction::kRelayToPeer)) {
-        const std::size_t swept =
-            mpisim::reliable::set_epoch_floor(rt->tag, fresh);
-        auto& ops = j.writes[c];
-        for (std::size_t k = 0; k < swept && !ops.empty(); ++k) {
-          ops.pop_back();
-        }
-        if (swept != 0 && simtime::tracebuf::armed()) {
-          simtime::tracebuf::record(Kind::kEpochFlush, copilot_name(),
-                                    clock().now(), clock().now(), 0, c,
-                                    route_type_of(c),
-                                    static_cast<std::int64_t>(swept));
-        }
-      }
-    }
-
-    // Snapshot the replay cursors: everything journaled up to here was
-    // delivered on a previous incarnation's behalf and must be deduped
-    // (writes) or re-served (reads) rather than re-executed.
-    rs.write_cursor.clear();
-    rs.read_cursor.clear();
-    rs.writes_seen.clear();
-    rs.reads_seen.clear();
-    for (const auto& [c, ops] : j.writes) rs.write_cursor[c] = ops.size();
-    for (const auto& [c, ops] : j.reads) rs.read_cursor[c] = ops.size();
-
-    // Relaunch: same recipe as PI_RunSPE, into the fresh context, starting
-    // no earlier than the Co-Pilot's post-backoff clock.
+    // Relaunch no earlier than the Co-Pilot's post-backoff clock.
     const std::string proc_name = app_.process(pid).name;
-    const SimTime start = relaunch(pid, flat, *seed);
+    const SimTime start = reincarnate(pid, flat, *seed,
+                                      &trace::ChannelCounters::add_respawn);
     cellsim::Spe& spe = blade_.spe(flat);
-
-    rs.flat = flat;
-    rs.alive = true;
     supervision::g_respawns.fetch_add(1);
     supervision::note_recovery_span(death, start);
     if (simtime::tracebuf::armed()) {
@@ -728,6 +666,59 @@ class CopilotService {
         std::to_string(rs.attempts) + "/" + std::to_string(budget) +
         " into " + spe.name());
     return true;
+  }
+
+  /// The reincarnation step of supervised respawn and blade restore: a new
+  /// writer incarnation on every channel `pid` writes, replay cursors at
+  /// the journal's end, and the relaunch into pooled context `flat`.
+  /// Readers discard stale-epoch fault frames, and the reliable receive
+  /// windows tombstone the dead incarnation's undelivered frames; whatever
+  /// the sweep tombstoned was journaled as delivered but never arrived, so
+  /// those entries are popped and the new incarnation re-relays exactly
+  /// them.  Reader-side channels keep their epoch: in-flight frames pair
+  /// FIFO with the re-issued reads past the replay cursor.  `count` is the
+  /// caller's per-channel counter, bumped on every channel `pid` touches.
+  /// Returns the new occupant's start stamp.
+  SimTime reincarnate(int pid, unsigned flat,
+                      const pilot::PilotApp::RespawnSeed& seed,
+                      void (trace::ChannelCounters::*count)(int)) {
+    Journal& j = state_.journal[pid];
+    for (int c = 0; c < app_.channel_count(); ++c) {
+      const PI_CHANNEL& ch = app_.channel(c);
+      if (ch.from != pid && ch.to != pid) continue;
+      (trace::ChannelCounters::global().*count)(c);
+      if (ch.from != pid) continue;
+      const std::uint32_t fresh = epochs::bump(c);
+      if (!relays_over_mpi(ch.route)) continue;
+      const std::size_t swept =
+          mpisim::reliable::set_epoch_floor(ch.route->tag, fresh);
+      auto& ops = j.writes[c];
+      for (std::size_t k = 0; k < swept && !ops.empty(); ++k) {
+        ops.pop_back();
+      }
+      if (swept != 0 && simtime::tracebuf::armed()) {
+        simtime::tracebuf::record(Kind::kEpochFlush, copilot_name(),
+                                  clock().now(), clock().now(), 0, c,
+                                  route_type_of(c),
+                                  static_cast<std::int64_t>(swept));
+      }
+    }
+
+    // Everything journaled up to here was delivered on a previous
+    // incarnation's behalf and must be deduped (writes) or re-served
+    // (reads) rather than re-executed.
+    RespawnState& rs = state_.respawns[pid];
+    rs.write_cursor.clear();
+    rs.read_cursor.clear();
+    rs.writes_seen.clear();
+    rs.reads_seen.clear();
+    for (const auto& [c, ops] : j.writes) rs.write_cursor[c] = ops.size();
+    for (const auto& [c, ops] : j.reads) rs.read_cursor[c] = ops.size();
+
+    const SimTime start = relaunch(pid, flat, seed);
+    rs.flat = flat;
+    rs.alive = true;
+    return start;
   }
 
   /// Launches process `pid`'s registered program into pooled context
@@ -786,10 +777,10 @@ class CopilotService {
   /// and settles with kSpeRestarted.  Past the cursor the incarnation is
   /// in new territory and operations take the normal path.
   bool try_replay(unsigned spe, const SpeRequest& req, bool is_write) {
-    if (respawns_.empty()) return false;  // clean runs: one empty() check
+    if (state_.respawns.empty()) return false;  // clean runs: one empty() check
     const int pid = app_.spe_process(node_, spe);
-    const auto rit = respawns_.find(pid);
-    if (rit == respawns_.end()) return false;
+    const auto rit = state_.respawns.find(pid);
+    if (rit == state_.respawns.end()) return false;
     RespawnState& rs = rit->second;
     auto& cursor = is_write ? rs.write_cursor : rs.read_cursor;
     const auto cit = cursor.find(req.channel);
@@ -798,7 +789,7 @@ class CopilotService {
     std::size_t& n = seen[req.channel];
     if (n >= cit->second) return false;
     const std::size_t idx = n++;
-    Journal& j = journal_[pid];
+    Journal& j = state_.journal[pid];
     const auto& ops = is_write ? j.writes[req.channel] : j.reads[req.channel];
     const JournalOp& op = ops[idx];
     if (op.signature != req.signature || op.length != req.length) {
@@ -880,8 +871,8 @@ class CopilotService {
       simtime::timeseries::record(
           simtime::timeseries::Kind::kParkedOps, 0, -1, copilot_name(),
           clock().now(),
-          static_cast<std::int64_t>(pending_writes_.size() +
-                                    pending_reads_.size()));
+          static_cast<std::int64_t>(state_.writes.size() +
+                                    state_.reads.size()));
     }
   }
 
@@ -925,7 +916,7 @@ class CopilotService {
         return false;
       }
       const auto status = static_cast<CompletionStatus>(fault.status);
-      dead_channels_[r.req.channel] = status;
+      state_.dead_channels[r.req.channel] = status;
       trace::ChannelCounters::global().add_fault(r.req.channel);
       if (simtime::tracebuf::armed()) {
         simtime::tracebuf::record(Kind::kCopilotFault, copilot_name(), begin,
@@ -934,20 +925,16 @@ class CopilotService {
                                   static_cast<std::int64_t>(fault.status));
       }
       complete(r.spe, status, r.req);
-      if (!request_is_async(r.req)) {
-        pilot::notify_unblock_proxy(mpi_, app_,
-                                    app_.spe_process(node_, r.spe));
+    } else {
+      if (auto payload = validate_frame(r, framed)) {
+        deliver_to_ls(r, *payload);
       }
-      return true;
-    }
-    if (auto payload = validate_frame(r, framed)) {
-      deliver_to_ls(r, *payload);
-    }
-    trace::ChannelCounters::global().add_copilot_hop(r.req.channel);
-    if (simtime::tracebuf::armed()) {
-      simtime::tracebuf::record(Kind::kCopilotDeliver, copilot_name(), begin,
-                                clock().now(), r.req.length, r.req.channel,
-                                route_type_of(r.req.channel));
+      trace::ChannelCounters::global().add_copilot_hop(r.req.channel);
+      if (simtime::tracebuf::armed()) {
+        simtime::tracebuf::record(Kind::kCopilotDeliver, copilot_name(),
+                                  begin, clock().now(), r.req.length,
+                                  r.req.channel, route_type_of(r.req.channel));
+      }
     }
     if (!request_is_async(r.req)) {
       pilot::notify_unblock_proxy(mpi_, app_, app_.spe_process(node_, r.spe));
@@ -971,60 +958,37 @@ class CopilotService {
       // heartbeat lease and constructs a standby from it.
       crashed_ = true;
       crash_stamp_ = clock().now();
-      Crash c;
-      c.stamp = crash_stamp_;
-      c.inflight = ready;
-      c.ready = std::move(ready_requests_);
-      c.assembly = std::move(assembly_);
-      c.writes = std::move(pending_writes_);
-      c.reads = std::move(pending_reads_);
-      c.dead_spes = std::move(dead_spes_);
-      c.dead_channels = std::move(dead_channels_);
-      c.failed = std::move(failed_);
-      c.journal = std::move(journal_);
-      c.respawns = std::move(respawns_);
-      throw c;
+      throw Crash{crash_stamp_, ready, std::move(state_)};
     }
     if (faults::FaultPlan::global().armed() &&
         faults::FaultPlan::global().should_kill_blade(blade_.name().c_str(),
                                                       node_)) {
       // The whole blade dies: every SPE context plus this Co-Pilot.  Close
       // the victims' mailboxes (their threads die quietly on the next
-      // mailbox op — the raised notices land in dead_spes_ and are never
-      // consumed), retract their parked block reports, and throw the
-      // message log up to copilot_main's supervisor.
+      // mailbox op — the raised notices land in the dead-SPE set and are
+      // never consumed), retract their parked block reports, reset the
+      // SPE-side state that dies with the blade, and throw the message log
+      // up to copilot_main's supervisor.
       BladeLoss loss;
       loss.stamp = clock().now();
       loss.serviced = serviced_;
       for (unsigned s = 0; s < blade_.spe_count(); ++s) {
-        if (dead_spes_.count(s) != 0) continue;
+        if (state_.dead_spes.count(s) != 0) continue;
         if (!app_.spe_assigned(node_, s)) continue;
         if (blade_.spe(s).fault_notice() != nullptr) continue;
         const int pid = app_.spe_process(node_, s);
-        if (pid < 0 || failed_.count(pid) != 0) continue;
+        if (pid < 0 || state_.failed.count(pid) != 0) continue;
         loss.victims.emplace_back(pid, s);
       }
       for (const auto& [pid, slot] : loss.victims) {
         blade_.spe(slot).shutdown();
       }
-      const auto retract = [&](std::multimap<int, Pending>& parked) {
-        for (const auto& entry : parked) {
-          const Pending& p = entry.second;
-          if (!request_is_async(p.req)) {
-            pilot::notify_unblock_proxy(mpi_, app_,
-                                        app_.spe_process(node_, p.spe));
-          }
-        }
-      };
-      retract(pending_writes_);
-      retract(pending_reads_);
+      sweep_parked([](int, const Pending&) { return true; });
+      state_.assembly.assign(blade_.spe_count(), Assembly{});
+      state_.ready.clear();
       crashed_ = true;
       crash_stamp_ = loss.stamp;
-      loss.dead_spes = std::move(dead_spes_);
-      loss.dead_channels = std::move(dead_channels_);
-      loss.failed = std::move(failed_);
-      loss.journal = std::move(journal_);
-      loss.respawns = std::move(respawns_);
+      loss.state = std::move(state_);
       throw loss;
     }
     if (supervise_deadline(ready)) return;
@@ -1039,7 +1003,7 @@ class CopilotService {
       // those have been drained, while later-stamped arrivals depend on
       // host scheduling and would make the raw queue size nondeterministic.
       std::int64_t backlog = 0;
-      for (const ReadyRequest& r : ready_requests_) {
+      for (const ReadyRequest& r : state_.ready) {
         if (r.stamp <= ready.stamp) ++backlog;
       }
       simtime::timeseries::record(simtime::timeseries::Kind::kMailboxDepth,
@@ -1076,18 +1040,6 @@ class CopilotService {
         contribute_cut(session.next_cut(node_));
       }
     }
-  }
-
-  /// Names a channel the way every fault diagnostic does: name plus its
-  /// Table I type, so one line identifies the route that failed.
-  std::string channel_desc(int channel) {
-    const PI_CHANNEL& ch = app_.channel(channel);
-    std::string label = "channel " + ch.name;
-    if (ch.route != nullptr) {
-      label += " (Table I type " +
-               std::to_string(static_cast<int>(ch.route->type)) + ")";
-    }
-    return label;
   }
 
   /// Deadline adjudication.  A healthy SPE emits its four request words in
@@ -1133,8 +1085,56 @@ class CopilotService {
                  static_cast<std::uint32_t>(cellsim::FaultCode::kTimeout),
                  "SPE " + blade_.spe(ready.spe).name() +
                      " missed its Co-Pilot deadline on " +
-                     channel_desc(ready.req.channel));
+                     channel_label(app_.channel(ready.req.channel)));
     return true;
+  }
+
+  /// Whether a channel's SPE writer relays its data over MPI (Table I
+  /// types 2/3 to the reader rank, type 5 to the reader's Co-Pilot).
+  static bool relays_over_mpi(const Route* rt) {
+    return rt != nullptr &&
+           (rt->copilot_write == CopilotWriteAction::kRelayToRank ||
+            rt->copilot_write == CopilotWriteAction::kRelayToPeer);
+  }
+
+  /// Where channel `c` relays over MPI, deposits a PILF fault frame in the
+  /// data's place so its remote reader wakes with the error instead of
+  /// blocking.  The frame carries the channel's current epoch: a reader
+  /// only honours a fault frame from the writer incarnation it currently
+  /// expects, so a death that was absorbed by a respawn never kills a
+  /// later reader.
+  void relay_fault(int c, CompletionStatus status, std::uint32_t code,
+                   const std::string& detail) {
+    const Route* rt = app_.channel(c).route;
+    if (!relays_over_mpi(rt)) return;
+    const std::uint32_t epoch = epochs::current(c);
+    const std::vector<std::byte> frame = pilot::frame_fault(
+        {static_cast<std::uint32_t>(status), code, epoch, detail});
+    mpisim::reliable::set_send_epoch(epoch);
+    mpi_.send(frame.data(), frame.size(), rt->copilot_write_dest, rt->tag);
+  }
+
+  /// Unparks every parked request `claim(channel, p)` returns true for,
+  /// writes before reads and FIFO within a channel, and retracts a
+  /// synchronous op's deadlock block report.  `claim` answers (or drops)
+  /// each request it claims.
+  template <typename Claim>
+  void sweep_parked(Claim claim) {
+    for (std::multimap<int, Pending>* parked :
+         {&state_.writes, &state_.reads}) {
+      for (auto it = parked->begin(); it != parked->end();) {
+        if (!claim(it->first, it->second)) {
+          ++it;
+          continue;
+        }
+        const Pending p = it->second;
+        it = parked->erase(it);
+        if (!request_is_async(p.req)) {
+          pilot::notify_unblock_proxy(mpi_, app_,
+                                      app_.spe_process(node_, p.spe));
+        }
+      }
+    }
   }
 
   /// Converts the death of process `pid` into error completions at every
@@ -1144,58 +1144,31 @@ class CopilotService {
   /// same compiled routes the data would have used.
   void fail_process(int pid, CompletionStatus status, std::uint32_t code,
                     const std::string& detail) {
-    if (pid < 0 || failed_.count(pid) != 0) return;
+    if (pid < 0 || state_.failed.count(pid) != 0) return;
     const SimTime begin = clock().now();
-    failed_[pid] = status;
+    state_.failed[pid] = status;
     clock().advance(cost_.copilot_service);
 
     // Sweep parked requests on channels touching the dead process.  An SPE
     // is serial, so it has at most one parked request; a *living* parked
     // peer gets an error completion, the dead process's own parked request
     // is simply dropped.  Either way its proxy block report is retracted.
-    const auto sweep = [&](std::multimap<int, Pending>& parked) {
-      for (auto it = parked.begin(); it != parked.end();) {
-        const PI_CHANNEL& ch = app_.channel(it->first);
-        if (ch.from != pid && ch.to != pid) {
-          ++it;
-          continue;
-        }
-        const Pending p = it->second;
-        it = parked.erase(it);
-        dead_channels_[ch.id] = status;
-        const int parked_pid = app_.spe_process(node_, p.spe);
-        if (parked_pid != pid) complete(p.spe, status, p.req);
-        if (!request_is_async(p.req)) {
-          pilot::notify_unblock_proxy(mpi_, app_, parked_pid);
-        }
-      }
-    };
-    sweep(pending_writes_);
-    sweep(pending_reads_);
+    sweep_parked([&](int channel, const Pending& p) {
+      const PI_CHANNEL& ch = app_.channel(channel);
+      if (ch.from != pid && ch.to != pid) return false;
+      if (app_.spe_process(node_, p.spe) != pid) complete(p.spe, status, p.req);
+      return true;
+    });
 
     // Poison every channel with the dead process as an endpoint; where its
     // data plane relays over MPI, deposit a fault frame so remote readers
     // (ranks or peer Co-Pilots) wake with the error instead of blocking.
-    // The PILF carries the channel's current epoch: a reader only honours
-    // a fault frame from the writer incarnation it currently expects, so
-    // a death that was absorbed by a respawn never kills a later reader.
     for (int c = 0; c < app_.channel_count(); ++c) {
       const PI_CHANNEL& ch = app_.channel(c);
       if (ch.from != pid && ch.to != pid) continue;
-      dead_channels_[c] = status;
+      state_.dead_channels[c] = status;
       trace::ChannelCounters::global().add_fault(c);
-      const Route* rt = ch.route;
-      if (rt == nullptr) continue;
-      if (ch.from == pid &&
-          (rt->copilot_write == CopilotWriteAction::kRelayToRank ||
-           rt->copilot_write == CopilotWriteAction::kRelayToPeer)) {
-        const std::uint32_t epoch = epochs::current(c);
-        const std::vector<std::byte> frame = pilot::frame_fault(
-            {static_cast<std::uint32_t>(status), code, epoch, detail});
-        mpisim::reliable::set_send_epoch(epoch);
-        mpi_.send(frame.data(), frame.size(), rt->copilot_write_dest,
-                  rt->tag);
-      }
+      if (ch.from == pid) relay_fault(c, status, code, detail);
     }
     // The registry write comes after the wire deposits: a rank that sees
     // the failure is guaranteed to find the fault frame already waiting.
@@ -1233,7 +1206,7 @@ class CopilotService {
     // Journal marks: delivery counts (and a CRC over the read payloads) of
     // every (process, channel) pair, in key order.
     std::vector<std::byte> scratch;
-    for (const auto& [pid, j] : journal_) {
+    for (const auto& [pid, j] : state_.journal) {
       std::set<int> channels;
       for (const auto& [c, ops] : j.writes) channels.insert(c);
       for (const auto& [c, ops] : j.reads) channels.insert(c);
@@ -1287,15 +1260,15 @@ class CopilotService {
         }
       }
     };
-    collect(pending_writes_, true);
-    collect(pending_reads_, false);
+    collect(state_.writes, true);
+    collect(state_.reads, false);
 
     // Flood markers before the contribution can commit the cut.  Only
     // type-5 routes carry them: plain ranks cannot parse a PILS frame,
     // and their state is reconstructed from the journal anyway.
     std::set<int> local_pids;
     for (unsigned s = 0; s < blade_.spe_count(); ++s) {
-      if (dead_spes_.count(s) != 0) continue;
+      if (state_.dead_spes.count(s) != 0) continue;
       if (!app_.spe_assigned(node_, s)) continue;
       const int pid = app_.spe_process(node_, s);
       if (pid >= 0) local_pids.insert(pid);
@@ -1340,9 +1313,7 @@ class CopilotService {
   }
 
   /// Relaunches one lost process from the checkpoint's message log:
-  /// acquire a fresh context, tombstone the dead blade's in-flight frames
-  /// (epoch bump + floor, popping the swept suffix off the journal), set
-  /// the replay cursors to the full journaled prefix, and launch.  The
+  /// acquire a fresh context and reincarnate the process into it.  The
   /// new incarnation re-executes from its program start; everything the
   /// journal says was delivered settles from it without touching the wire
   /// — exactly-once across the cut.  Returns false (degrade) when no
@@ -1359,55 +1330,16 @@ class CopilotService {
       // contexts, it does not get them back.
       for (;;) {
         flat = app_.acquire_spe(node_);
-        if (dead_spes_.count(flat) == 0) break;
+        if (state_.dead_spes.count(flat) == 0) break;
       }
     } catch (const pilot::PilotError&) {
       return false;
     }
     clock().advance(cost_.copilot_service);
 
-    // New writer incarnation on every channel the process writes, exactly
-    // as try_respawn: the reliable windows tombstone the dead blade's
-    // undelivered frames, and popping the swept suffix leaves the journal
-    // holding exactly the delivered prefix.
-    Journal& j = journal_[pid];
-    for (int c = 0; c < app_.channel_count(); ++c) {
-      const PI_CHANNEL& ch = app_.channel(c);
-      if (ch.from != pid && ch.to != pid) continue;
-      trace::ChannelCounters::global().add_restore(c);
-      if (ch.from != pid) continue;
-      const std::uint32_t fresh = epochs::bump(c);
-      const Route* rt = ch.route;
-      if (rt != nullptr &&
-          (rt->copilot_write == CopilotWriteAction::kRelayToRank ||
-           rt->copilot_write == CopilotWriteAction::kRelayToPeer)) {
-        const std::size_t swept =
-            mpisim::reliable::set_epoch_floor(rt->tag, fresh);
-        auto& ops = j.writes[c];
-        for (std::size_t k = 0; k < swept && !ops.empty(); ++k) {
-          ops.pop_back();
-        }
-        if (swept != 0 && simtime::tracebuf::armed()) {
-          simtime::tracebuf::record(Kind::kEpochFlush, copilot_name(),
-                                    clock().now(), clock().now(), 0, c,
-                                    route_type_of(c),
-                                    static_cast<std::int64_t>(swept));
-        }
-      }
-    }
-
-    RespawnState& rs = respawns_[pid];
-    rs.write_cursor.clear();
-    rs.read_cursor.clear();
-    rs.writes_seen.clear();
-    rs.reads_seen.clear();
-    for (const auto& [c, ops] : j.writes) rs.write_cursor[c] = ops.size();
-    for (const auto& [c, ops] : j.reads) rs.read_cursor[c] = ops.size();
-
-    const SimTime start = relaunch(pid, flat, *seed);
+    const SimTime start = reincarnate(pid, flat, *seed,
+                                      &trace::ChannelCounters::add_restore);
     cellsim::Spe& spe = blade_.spe(flat);
-    rs.flat = flat;
-    rs.alive = true;
     supervision::g_restores.fetch_add(1);
     supervision::note_recovery_span(death, start);
     if (simtime::tracebuf::armed()) {
@@ -1423,66 +1355,85 @@ class CopilotService {
     return true;
   }
 
-  /// Standby takeover: replays the crashed Co-Pilot's journal.  Parked
-  /// requests re-park as they were (their block proxies were already
-  /// notified before the crash, so no re-notify); the one request the old
-  /// Co-Pilot died holding is not replayable (its local-store framing may
-  /// have been half done) and fails cleanly with kCopilotFault, poisoning
-  /// its channel so every peer observes the error instead of hanging.
-  void recover(const Crash& c) {
-    assembly_ = c.assembly;
-    ready_requests_ = c.ready;
-    pending_writes_ = c.writes;
-    pending_reads_ = c.reads;
-    dead_spes_ = c.dead_spes;
-    dead_channels_ = c.dead_channels;
-    failed_ = c.failed;
-    journal_ = c.journal;
-    respawns_ = c.respawns;
+  /// Standby takeover: inherits the crashed Co-Pilot's service state.
+  /// Parked requests stay parked as they were (their block proxies were
+  /// already notified before the crash, so no re-notify); the one request
+  /// the old Co-Pilot died holding is not replayable (its local-store
+  /// framing may have been half done) and fails cleanly with
+  /// kCopilotFault, poisoning its channel so every peer observes the error
+  /// instead of hanging.
+  void recover(Crash& c) {
+    state_ = std::move(c.state);
 
     const ReadyRequest& in = c.inflight;
     clock().advance(cost_.copilot_service);
     complete(in.spe, CompletionStatus::kCopilotFault, in.req);
     const int chid = in.req.channel;
     if (chid >= 0 && chid < app_.channel_count()) {
-      dead_channels_[chid] = CompletionStatus::kCopilotFault;
+      state_.dead_channels[chid] = CompletionStatus::kCopilotFault;
       trace::ChannelCounters::global().add_fault(chid);
       // A peer parked on the poisoned channel can never be served; wake
       // it with the error (and retract its deadlock block report) rather
       // than leaving it to hang.
-      const auto sweep = [&](std::multimap<int, Pending>& parked) {
-        for (auto it = parked.lower_bound(chid);
-             it != parked.end() && it->first == chid;) {
-          const Pending p = it->second;
-          it = parked.erase(it);
-          complete(p.spe, CompletionStatus::kCopilotFault, p.req);
-          if (!request_is_async(p.req)) {
-            pilot::notify_unblock_proxy(mpi_, app_,
-                                        app_.spe_process(node_, p.spe));
-          }
-        }
-      };
-      sweep(pending_writes_);
-      sweep(pending_reads_);
+      sweep_parked([&](int channel, const Pending& p) {
+        if (channel != chid) return false;
+        complete(p.spe, CompletionStatus::kCopilotFault, p.req);
+        return true;
+      });
       // A write that would have relayed over MPI leaves a reader (rank or
       // peer Co-Pilot) waiting for data that will never come: put the
       // fault on the wire in the data's place.
-      const Route* rt = app_.channel(chid).route;
-      if (rt != nullptr &&
-          (in.req.opcode == Opcode::kWrite ||
-           in.req.opcode == Opcode::kWriteAsync) &&
-          (rt->copilot_write == CopilotWriteAction::kRelayToRank ||
-           rt->copilot_write == CopilotWriteAction::kRelayToPeer)) {
-        const std::vector<std::byte> frame = pilot::frame_fault(
-            {static_cast<std::uint32_t>(CompletionStatus::kCopilotFault),
-             static_cast<std::uint32_t>(cellsim::FaultCode::kInjected),
-             epochs::current(chid),
-             "Co-Pilot " + copilot_name() + " crashed serving " +
-                 channel_desc(chid)});
-        mpisim::reliable::set_send_epoch(epochs::current(chid));
-        mpi_.send(frame.data(), frame.size(), rt->copilot_write_dest,
-                  rt->tag);
+      if (in.req.opcode == Opcode::kWrite ||
+          in.req.opcode == Opcode::kWriteAsync) {
+        relay_fault(chid, CompletionStatus::kCopilotFault,
+                    static_cast<std::uint32_t>(cellsim::FaultCode::kInjected),
+                    "Co-Pilot " + copilot_name() + " crashed serving " +
+                        channel_label(app_.channel(chid)));
       }
+    }
+  }
+
+  /// Parks `p` until its peer arrives.  A synchronous op reports its SPE
+  /// blocked on `peer_pid`; an async parked op does not block its SPE (the
+  /// program keeps computing), so it must not feed the deadlock detector.
+  void park(std::multimap<int, Pending>& parked, const Pending& p,
+            int peer_pid) {
+    parked.emplace(p.req.channel, p);
+    record_parked_gauge();
+    if (simtime::tracebuf::armed()) {
+      simtime::tracebuf::record(Kind::kCopilotPark, copilot_name(),
+                                clock().now(), clock().now(), p.req.length,
+                                p.req.channel, route_type_of(p.req.channel),
+                                static_cast<std::int64_t>(p.req.opcode));
+    }
+    if (!request_is_async(p.req)) {
+      pilot::notify_block_proxy(mpi_, app_, app_.spe_process(node_, p.spe),
+                                peer_pid, p.req.channel);
+    }
+  }
+
+  /// Type 4: pairs `p` with the oldest parked local peer on its channel —
+  /// unparking the peer and retracting its block report — or parks `p`.
+  void pair_or_park(const Pending& p, bool is_write, int peer_pid) {
+    std::multimap<int, Pending>& peers =
+        is_write ? state_.reads : state_.writes;
+    const auto it = peers.lower_bound(p.req.channel);
+    if (it == peers.end() || it->first != p.req.channel ||
+        it->second.expected_source != mpisim::kAnySource) {
+      park(is_write ? state_.writes : state_.reads, p, peer_pid);
+      return;
+    }
+    const Pending peer = it->second;
+    peers.erase(it);
+    record_parked_gauge();
+    if (!request_is_async(peer.req)) {
+      pilot::notify_unblock_proxy(mpi_, app_,
+                                  app_.spe_process(node_, peer.spe));
+    }
+    if (is_write) {
+      transfer_local(p, peer);
+    } else {
+      transfer_local(peer, p);
     }
   }
 
@@ -1514,14 +1465,15 @@ class CopilotService {
     }
     // A channel poisoned by a peer's death fails fast with the stored
     // status instead of parking a request that can never be served.
-    if (auto dead = dead_channels_.find(req.channel);
-        dead != dead_channels_.end()) {
+    if (auto dead = state_.dead_channels.find(req.channel);
+        dead != state_.dead_channels.end()) {
       complete(spe, dead->second, req);
       return;
     }
     const int peer_pid = is_write ? ch.to : ch.from;
-    if (auto failed = failed_.find(peer_pid); failed != failed_.end()) {
-      dead_channels_[req.channel] = failed->second;
+    if (auto failed = state_.failed.find(peer_pid);
+        failed != state_.failed.end()) {
+      state_.dead_channels[req.channel] = failed->second;
       complete(spe, failed->second, req);
       return;
     }
@@ -1558,39 +1510,9 @@ class CopilotService {
           journal_write(spe, req);
           break;
         }
-        case CopilotWriteAction::kPairLocal: {
-          // Type 4: pair with the oldest parked local read, or park.
-          auto it = pending_reads_.lower_bound(req.channel);
-          if (it != pending_reads_.end() && it->first == req.channel &&
-              it->second.expected_source == mpisim::kAnySource) {
-            const Pending reader = it->second;
-            pending_reads_.erase(it);
-            record_parked_gauge();
-            if (!request_is_async(reader.req)) {
-              pilot::notify_unblock_proxy(
-                  mpi_, app_, app_.spe_process(node_, reader.spe));
-            }
-            transfer_local(p, reader);
-          } else {
-            pending_writes_.emplace(req.channel, p);
-            record_parked_gauge();
-            if (simtime::tracebuf::armed()) {
-              simtime::tracebuf::record(Kind::kCopilotPark, copilot_name(),
-                                        clock().now(), clock().now(),
-                                        req.length, req.channel,
-                                        static_cast<std::int8_t>(rt->type),
-                                        static_cast<std::int64_t>(req.opcode));
-            }
-            // An async parked op does not block its SPE (the program keeps
-            // computing), so it must not feed the deadlock detector.
-            if (!request_is_async(req)) {
-              pilot::notify_block_proxy(mpi_, app_,
-                                        app_.spe_process(node_, spe), ch.to,
-                                        req.channel);
-            }
-          }
+        case CopilotWriteAction::kPairLocal:
+          pair_or_park(p, /*is_write=*/true, ch.to);
           break;
-        }
         case CopilotWriteAction::kNone:
           // The channel's writer is not an SPE: not a legal request.
           complete(spe, CompletionStatus::kProtocol, req);
@@ -1598,56 +1520,15 @@ class CopilotService {
       }
     } else {  // kRead
       switch (rt->copilot_read) {
-        case CopilotReadAction::kPairLocal: {
-          // Type 4: pair with the oldest parked local write, or park.
-          auto it = pending_writes_.lower_bound(req.channel);
-          if (it != pending_writes_.end() && it->first == req.channel) {
-            const Pending writer = it->second;
-            pending_writes_.erase(it);
-            record_parked_gauge();
-            if (!request_is_async(writer.req)) {
-              pilot::notify_unblock_proxy(
-                  mpi_, app_, app_.spe_process(node_, writer.spe));
-            }
-            transfer_local(writer, p);
-          } else {
-            pending_reads_.emplace(req.channel, p);
-            record_parked_gauge();
-            if (simtime::tracebuf::armed()) {
-              simtime::tracebuf::record(Kind::kCopilotPark, copilot_name(),
-                                        clock().now(), clock().now(),
-                                        req.length, req.channel,
-                                        static_cast<std::int8_t>(rt->type),
-                                        static_cast<std::int64_t>(req.opcode));
-            }
-            if (!request_is_async(req)) {
-              pilot::notify_block_proxy(mpi_, app_,
-                                        app_.spe_process(node_, spe), ch.from,
-                                        req.channel);
-            }
-          }
+        case CopilotReadAction::kPairLocal:
+          pair_or_park(p, /*is_write=*/false, ch.from);
           break;
-        }
-        case CopilotReadAction::kAwaitMpi: {
+        case CopilotReadAction::kAwaitMpi:
           // Types 2/3/5: data arrives over MPI from the writer rank or the
           // writer's Co-Pilot; the main loop delivers it in stamp order.
           p.expected_source = rt->copilot_read_source;
-          pending_reads_.emplace(req.channel, p);
-          record_parked_gauge();
-          if (simtime::tracebuf::armed()) {
-            simtime::tracebuf::record(Kind::kCopilotPark, copilot_name(),
-                                      clock().now(), clock().now(),
-                                      req.length, req.channel,
-                                      static_cast<std::int8_t>(rt->type),
-                                      static_cast<std::int64_t>(req.opcode));
-          }
-          if (!request_is_async(req)) {
-            pilot::notify_block_proxy(mpi_, app_,
-                                      app_.spe_process(node_, spe), ch.from,
-                                      req.channel);
-          }
+          park(state_.reads, p, ch.from);
           break;
-        }
         case CopilotReadAction::kNone:
           complete(spe, CompletionStatus::kProtocol, req);
           return;
@@ -1660,25 +1541,7 @@ class CopilotService {
   int node_;
   cellsim::CellBlade& blade_;
   const simtime::CostModel& cost_;
-  std::vector<Assembly> assembly_;
-  std::vector<ReadyRequest> ready_requests_;
-  // Insertion order is preserved for equal keys, so each channel's
-  // parked requests form a FIFO — several async operations from one SPE
-  // may be parked at once.
-  std::multimap<int, Pending> pending_writes_;
-  std::multimap<int, Pending> pending_reads_;
-  /// SPEs whose fault notice has been consumed.
-  std::set<unsigned> dead_spes_;
-  /// Channels poisoned by an endpoint's death: later requests complete
-  /// immediately with the stored error status.
-  std::map<int, CompletionStatus> dead_channels_;
-  /// Processes this Co-Pilot declared failed, with the status their peers
-  /// receive.
-  std::map<int, CompletionStatus> failed_;
-  /// Replay journals, keyed by process id (empty unless -pirespawn armed).
-  std::map<int, Journal> journal_;
-  /// Respawn bookkeeping of supervised processes (budget, cursors).
-  std::map<int, RespawnState> respawns_;
+  ServiceState state_;
   std::atomic<SimTime>& published_bound_;
   /// Requests serviced by this incarnation — the checkpoint cadence
   /// counter (every -pickptevery services contributes a shard).  Carried

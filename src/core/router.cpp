@@ -73,6 +73,15 @@ const FormatPlan& FormatCache::lookup(const char* fmt) {
   return *plans_.back();
 }
 
+std::string channel_label(const PI_CHANNEL& ch) {
+  std::string label = "channel " + ch.name;
+  if (ch.route != nullptr) {
+    label += " (Table I type " +
+             std::to_string(static_cast<int>(ch.route->type)) + ")";
+  }
+  return label;
+}
+
 Route compile_route(pilot::PilotApp& app, const PI_CHANNEL& ch) {
   cluster::Cluster& cl = app.cluster();
   const PI_PROCESS& from = app.process(ch.from);

@@ -174,6 +174,11 @@ struct Route {
 /// Exposed for tests; production code goes through Router::compile.
 Route compile_route(pilot::PilotApp& app, const PI_CHANNEL& ch);
 
+/// Names a channel the way every fault diagnostic does: "channel <name>",
+/// plus " (Table I type N)" once its route is compiled, so one line
+/// identifies the route that failed.
+std::string channel_label(const PI_CHANNEL& ch);
+
 /// The per-application route table.  PI_StartAll compiles every channel
 /// (and a format cache per bundle) exactly once; dispatch sites then
 /// execute the cached plans for the rest of the run.

@@ -8,6 +8,7 @@
 #include "cellsim/spu.hpp"
 #include "core/faultplan.hpp"
 #include "core/protocol.hpp"
+#include "core/router.hpp"
 #include "pilot/context.hpp"
 #include "pilot/errors.hpp"
 
@@ -45,17 +46,6 @@ CompletionStatus request_and_wait(Opcode op, const PI_CHANNEL& ch,
   cellsim::spu::spu_write_out_mbox(length);
   cellsim::spu::spu_write_out_mbox(sig);
   return static_cast<CompletionStatus>(cellsim::spu::spu_read_in_mbox());
-}
-
-/// Names the channel the way every fault diagnostic does: name + Table I
-/// type, so one line identifies the route that failed.
-std::string channel_label(const PI_CHANNEL& ch) {
-  std::string label = "channel " + ch.name;
-  if (ch.route != nullptr) {
-    label += " (Table I type " +
-             std::to_string(static_cast<int>(ch.route->type)) + ")";
-  }
-  return label;
 }
 
 [[noreturn]] void throw_completion_error(CompletionStatus status,

@@ -115,12 +115,8 @@ void frame_in_place(std::vector<std::byte>& staging, std::uint32_t sig,
                            cellpilot::CompletionStatus::kSpeRestarted)) {
     code = ErrorCode::kSpeRestarted;
   }
-  std::string label = "channel " + ch.name;
-  if (ch.route != nullptr) {
-    label += " (Table I type " +
-             std::to_string(static_cast<int>(ch.route->type)) + ")";
-  }
-  throw PilotError(code, label + ": " + detail, file, line);
+  throw PilotError(code, cellpilot::channel_label(ch) + ": " + detail, file,
+                   line);
 }
 
 /// Receives one channel frame for a rank-side reader, discarding fault
@@ -175,18 +171,122 @@ CellTransport& transport_or_die(PilotApp& app, const char* file, int line) {
   return *app.transport();
 }
 
+const std::string& rank_entity(PilotContext& ctx) {
+  return ctx.app().cluster().world().info(ctx.rank()).name;
+}
+
+/// Throws kEndpoint unless `process` is the writer (`writer`) or the reader
+/// of `ch`.  `what` prefixes the diagnostic.
+void require_endpoint(int process, const PI_CHANNEL& ch, bool writer,
+                      const char* file, int line, const char* what = "") {
+  if (process == (writer ? ch.from : ch.to)) return;
+  const char* role = writer ? " is not the writer of channel "
+                            : " is not the reader of channel ";
+  throw PilotError(ErrorCode::kEndpoint,
+                   std::string(what) + "process P" + std::to_string(process) +
+                       role + ch.name,
+                   file, line);
+}
+
+/// The failure of `ch`'s writer if it died with nothing left on the wire
+/// for this rank: a read of `ch` can then never be satisfied.  Anything
+/// already on the wire (data or the Co-Pilot's fault frame) must be
+/// consumed first, so a pending frame means no failure yet.
+std::optional<PilotApp::ProcessFailure> dead_writer(PilotContext& ctx,
+                                                    const PI_CHANNEL& ch) {
+  auto failure = ctx.app().process_failure(ch.from);
+  if (failure) {
+    const cellpilot::Route& rt = route_of(ch, nullptr, 0);
+    if (ctx.mpi().iprobe(rt.read_source, rt.tag)) failure.reset();
+  }
+  return failure;
+}
+
+/// What a rank-side send put on the wire.
+struct RankSend {
+  const cellpilot::Route* rt = nullptr;
+  std::size_t payload_bytes = 0;
+  std::uint32_t sig = 0;
+  simtime::SimTime begin = 0;  ///< clock at the call, before its charge
+};
+
+/// The rank-side write of PI_Write and PI_WriteAsync.  Stages
+/// [header][payload] in the channel's reused buffer and sends it as one
+/// frame; rank-backed writers always MPI-send — to the reader's rank, or to
+/// the Co-Pilot standing in for a reading SPE.
+RankSend rank_send(PilotContext& ctx, const PI_CHANNEL& ch, const char* fmt,
+                   va_list args, const char* file, int line) {
+  require_endpoint(ctx.my_process, ch, /*writer=*/true, file, line);
+  PilotApp& app = ctx.app();
+  cellpilot::Route& rt = route_of(ch, file, line);
+  if (rt.needs_transport) transport_or_die(app, file, line);
+  // A reader that already died can never consume this message: fail the
+  // write with the peer's recorded failure instead of sending into a void.
+  if (auto failure = app.process_failure(ch.to)) {
+    throw_peer_failure(failure->status, failure->detail, ch, file, line);
+  }
+
+  cellpilot::WriterState& ws = rt.writer;
+  const cellpilot::FormatPlan& plan = ws.formats.lookup(fmt);
+  ws.staging.resize(sizeof(WireHeader));
+  marshal_append(plan.parsed, args, ws.staging, ws.counts);
+  RankSend sent{&rt, ws.staging.size() - sizeof(WireHeader),
+                wire_signature(plan, ws.counts), ctx.mpi().clock().now()};
+  charge_rank_call(ctx, sent.payload_bytes);
+
+  const std::span<std::byte> payload =
+      std::span(ws.staging).subspan(sizeof(WireHeader));
+  if (rt.writer_big_endian) {
+    swap_element_bytes(plan.parsed, ws.counts, payload);
+  }
+  const std::uint32_t epoch = cellpilot::epochs::current(ch.id);
+  frame_in_place(ws.staging, sent.sig, epoch);
+  if (simtime::metrics::armed()) {
+    cellpilot::metrics::LatencyLedger::global().push(ch.id, sent.begin);
+  }
+  mpisim::reliable::set_send_epoch(epoch);
+  ctx.mpi().send(ws.staging.data(), ws.staging.size(), rt.write_dest, rt.tag);
+  cellpilot::trace::ChannelCounters::global().add_message(ch.id,
+                                                          sent.payload_bytes);
+  return sent;
+}
+
+/// The rank-side receive of PI_Read, the read-handle harvest and
+/// PI_Gather.  Fails fast on a dead writer with nothing on the wire;
+/// otherwise blocks for one frame — from the writer's rank, or from the
+/// Co-Pilot relaying for a writing SPE — surfaces a fault frame as the
+/// writer's failure, checks the frame against `sig` and `plan`, and
+/// scatters the payload through `plan`.  `label` prefixes the channel name
+/// in a mismatch diagnostic.
+void rank_receive(PilotContext& ctx, const PI_CHANNEL& ch, std::uint32_t sig,
+                  const ReadPlan& plan, const char* label, const char* file,
+                  int line) {
+  if (auto failure = dead_writer(ctx, ch)) {
+    throw_peer_failure(failure->status, failure->detail, ch, file, line);
+  }
+  const cellpilot::Route& rt = route_of(ch, file, line);
+  notify_block(ctx, ch.from, ch.id);
+  std::vector<std::byte> framed = recv_channel_frame(ctx, ch, rt);
+  notify_unblock(ctx);
+  if (is_fault_frame(framed)) {
+    const FaultFrame fault = parse_fault_frame(framed);
+    note_peer_death(ctx.app(), ch, fault);
+    throw_peer_failure(fault.status, fault.detail, ch, file, line);
+  }
+  check_frame(framed, sig, plan.payload_bytes, label + ch.name);
+  const std::span<std::byte> payload =
+      std::span(framed).subspan(sizeof(WireHeader));
+  if (rt.writer_big_endian) swap_element_bytes(plan.fmt, payload);
+  scatter(plan, payload);
+}
+
 void write_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
                 va_list args) {
   if (ch == nullptr) usage_error(file, line, "PI_Write: null channel");
 
   // --- SPE-side writer ------------------------------------------------
   if (SpeDispatch* sd = spe_dispatch()) {
-    if (sd->process_id != ch->from) {
-      throw PilotError(ErrorCode::kEndpoint,
-                       "process P" + std::to_string(sd->process_id) +
-                           " is not the writer of channel " + ch->name,
-                       file, line);
-    }
+    require_endpoint(sd->process_id, *ch, /*writer=*/true, file, line);
     cellpilot::Route& rt = route_of(*ch, file, line);
     cellpilot::WriterState& ws = rt.writer;
     const cellpilot::FormatPlan& plan = ws.formats.lookup(fmt);
@@ -225,59 +325,18 @@ void write_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
 
   // --- rank-side writer -------------------------------------------------
   PilotContext& ctx = ctx_in_phase(Phase::kExecution, "PI_Write", file, line);
-  if (ctx.my_process != ch->from) {
-    throw PilotError(ErrorCode::kEndpoint,
-                     "process P" + std::to_string(ctx.my_process) +
-                         " is not the writer of channel " + ch->name,
-                     file, line);
-  }
-  PilotApp& app = ctx.app();
-  cellpilot::Route& rt = route_of(*ch, file, line);
-  if (rt.needs_transport) transport_or_die(app, file, line);
-  // A reader that already died can never consume this message: fail the
-  // write with the peer's recorded failure instead of sending into a void.
-  if (auto failure = app.process_failure(ch->to)) {
-    throw_peer_failure(failure->status, failure->detail, *ch, file, line);
-  }
-
-  // Stage [header][payload] in the channel's reused buffer and send it as
-  // one frame; rank-backed writers always MPI-send — to the reader's rank,
-  // or to the Co-Pilot standing in for a reading SPE.
-  cellpilot::WriterState& ws = rt.writer;
-  const cellpilot::FormatPlan& plan = ws.formats.lookup(fmt);
-  ws.staging.resize(sizeof(WireHeader));
-  marshal_append(plan.parsed, args, ws.staging, ws.counts);
-  const std::size_t payload_bytes = ws.staging.size() - sizeof(WireHeader);
-  const std::uint32_t sig = wire_signature(plan, ws.counts);
-  const simtime::SimTime call_begin = ctx.mpi().clock().now();
-  charge_rank_call(ctx, payload_bytes);
-
-  const std::span<std::byte> payload =
-      std::span(ws.staging).subspan(sizeof(WireHeader));
-  if (rt.writer_big_endian) {
-    swap_element_bytes(plan.parsed, ws.counts, payload);
-  }
-  const std::uint32_t epoch = cellpilot::epochs::current(ch->id);
-  frame_in_place(ws.staging, sig, epoch);
-  if (simtime::metrics::armed()) {
-    cellpilot::metrics::LatencyLedger::global().push(ch->id, call_begin);
-  }
-  mpisim::reliable::set_send_epoch(epoch);
-  ctx.mpi().send(ws.staging.data(), ws.staging.size(), rt.write_dest, rt.tag);
-  cellpilot::trace::ChannelCounters::global().add_message(ch->id,
-                                                          payload_bytes);
+  const RankSend sent = rank_send(ctx, *ch, fmt, args, file, line);
+  const auto route = static_cast<std::int8_t>(sent.rt->type);
   if (simtime::tracebuf::armed()) {
-    simtime::tracebuf::record(
-        simtime::tracebuf::Kind::kPilotWrite,
-        ctx.app().cluster().world().info(ctx.rank()).name, call_begin,
-        ctx.mpi().clock().now(), payload_bytes, ch->id,
-        static_cast<std::int8_t>(rt.type));
+    simtime::tracebuf::record(simtime::tracebuf::Kind::kPilotWrite,
+                              rank_entity(ctx), sent.begin,
+                              ctx.mpi().clock().now(), sent.payload_bytes,
+                              ch->id, route);
   }
   if (simtime::timeseries::armed()) {
     simtime::timeseries::record(
-        simtime::timeseries::Kind::kSent, static_cast<std::int8_t>(rt.type),
-        ch->id, ctx.app().cluster().world().info(ctx.rank()).name,
-        call_begin, static_cast<std::int64_t>(payload_bytes));
+        simtime::timeseries::Kind::kSent, route, ch->id, rank_entity(ctx),
+        sent.begin, static_cast<std::int64_t>(sent.payload_bytes));
   }
 }
 
@@ -287,12 +346,7 @@ void read_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
 
   // --- SPE-side reader --------------------------------------------------
   if (SpeDispatch* sd = spe_dispatch()) {
-    if (sd->process_id != ch->to) {
-      throw PilotError(ErrorCode::kEndpoint,
-                       "process P" + std::to_string(sd->process_id) +
-                           " is not the reader of channel " + ch->name,
-                       file, line);
-    }
+    require_endpoint(sd->process_id, *ch, /*writer=*/false, file, line);
     cellpilot::Route& rt = route_of(*ch, file, line);
     cellpilot::ReaderState& rs = rt.reader;
     const cellpilot::FormatPlan& plan = rs.formats.lookup(fmt);
@@ -335,57 +389,27 @@ void read_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
 
   // --- rank-side reader ---------------------------------------------------
   PilotContext& ctx = ctx_in_phase(Phase::kExecution, "PI_Read", file, line);
-  if (ctx.my_process != ch->to) {
-    throw PilotError(ErrorCode::kEndpoint,
-                     "process P" + std::to_string(ctx.my_process) +
-                         " is not the reader of channel " + ch->name,
-                     file, line);
-  }
-  PilotApp& app = ctx.app();
+  require_endpoint(ctx.my_process, *ch, /*writer=*/false, file, line);
   cellpilot::Route& rt = route_of(*ch, file, line);
-  if (rt.needs_transport) transport_or_die(app, file, line);
-
-  // Rank-backed readers always receive one MPI frame — from the writer's
-  // rank, or from the Co-Pilot relaying for a writing SPE.
+  if (rt.needs_transport) transport_or_die(ctx.app(), file, line);
   cellpilot::ReaderState& rs = rt.reader;
   const cellpilot::FormatPlan& plan = rs.formats.lookup(fmt);
   build_read_plan_into(plan.parsed, args, rs.plan);
   const std::uint32_t sig =
       plan.has_star ? signature(rs.plan.fmt) : plan.wire_signature;
-  // A writer that died can no longer satisfy this read.  Anything already
-  // on the wire (data or the Co-Pilot's fault frame) is consumed first;
-  // with the wire empty, fail immediately instead of blocking forever.
-  if (auto failure = app.process_failure(ch->from)) {
-    if (!ctx.mpi().iprobe(rt.read_source, rt.tag)) {
-      throw_peer_failure(failure->status, failure->detail, *ch, file, line);
-    }
-  }
   const simtime::SimTime call_begin = ctx.mpi().clock().now();
-  notify_block(ctx, ch->from, ch->id);
-  std::vector<std::byte> framed = recv_channel_frame(ctx, *ch, rt);
-  notify_unblock(ctx);
-  if (is_fault_frame(framed)) {
-    const FaultFrame fault = parse_fault_frame(framed);
-    note_peer_death(app, *ch, fault);
-    throw_peer_failure(fault.status, fault.detail, *ch, file, line);
-  }
-  check_frame(framed, sig, rs.plan.payload_bytes, "channel " + ch->name);
-  const std::span<std::byte> payload =
-      std::span(framed).subspan(sizeof(WireHeader));
-  if (rt.writer_big_endian) swap_element_bytes(rs.plan.fmt, payload);
-  scatter(rs.plan, payload);
+  rank_receive(ctx, *ch, sig, rs.plan, "channel ", file, line);
   charge_rank_call(ctx, rs.plan.payload_bytes);
   const simtime::SimTime call_end = ctx.mpi().clock().now();
+  const std::string& entity = rank_entity(ctx);
+  const auto route = static_cast<std::int8_t>(rt.type);
   if (simtime::tracebuf::armed()) {
-    simtime::tracebuf::record(simtime::tracebuf::Kind::kPilotRead,
-                              app.cluster().world().info(ctx.rank()).name,
+    simtime::tracebuf::record(simtime::tracebuf::Kind::kPilotRead, entity,
                               call_begin, call_end, rs.plan.payload_bytes,
-                              ch->id, static_cast<std::int8_t>(rt.type));
+                              ch->id, route);
   }
   if (simtime::metrics::armed()) {
     namespace sm = simtime::metrics;
-    const std::string& entity = app.cluster().world().info(ctx.rank()).name;
-    const auto route = static_cast<std::int8_t>(rt.type);
     sm::record(sm::Kind::kReadBlock, route, ch->id, entity,
                call_end - call_begin);
     simtime::SimTime write_begin = 0;
@@ -397,10 +421,8 @@ void read_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
   }
   if (simtime::timeseries::armed()) {
     simtime::timeseries::record(
-        simtime::timeseries::Kind::kDelivered,
-        static_cast<std::int8_t>(rt.type), ch->id,
-        app.cluster().world().info(ctx.rank()).name, call_end,
-        static_cast<std::int64_t>(rs.plan.payload_bytes));
+        simtime::timeseries::Kind::kDelivered, route, ch->id, entity,
+        call_end, static_cast<std::int64_t>(rs.plan.payload_bytes));
   }
 }
 
@@ -417,10 +439,6 @@ void read_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
 // async tier in the build.
 
 namespace cp = cellpilot::completion;
-
-std::string rank_entity(PilotContext& ctx) {
-  return ctx.app().cluster().world().info(ctx.rank()).name;
-}
 
 /// Checked handle -> operation: non-null, owned by the calling thread's
 /// engine, and not yet harvested.
@@ -442,6 +460,15 @@ PI_OP& checked_op(PI_HANDLE h, const char* what, const char* file, int line) {
                      file, line);
   }
   return *h;
+}
+
+/// Settles `op` as faulted with a dead writer's failure: its harvest
+/// throws it (the async contract defers data-plane errors to the wait
+/// side).
+void fail_op(PI_OP& op, const PilotApp::ProcessFailure& failure) {
+  op.status.store(failure.status, std::memory_order_relaxed);
+  op.fault_detail = failure.detail;
+  cp::set_state(op, cp::State::kFaulted);
 }
 
 /// Records the op_complete event plus the handle metrics of a harvest.
@@ -512,9 +539,8 @@ void rank_harvest(PilotContext& ctx, PI_OP& op, const char* file,
   cp::Engine& engine = cp::Engine::local();
   PilotApp& app = ctx.app();
   PI_CHANNEL& ch = app.channel(op.channel);
-  cellpilot::Route& rt = route_of(ch, file, line);
   const simtime::SimTime wait_begin = ctx.mpi().clock().now();
-  const std::string entity = rank_entity(ctx);
+  const std::string& entity = rank_entity(ctx);
   if (cp::op_state(op) == cp::State::kFaulted) {
     const std::uint32_t status = op.status.load(std::memory_order_relaxed);
     const std::string detail = op.fault_detail;
@@ -532,31 +558,12 @@ void rank_harvest(PilotContext& ctx, PI_OP& op, const char* file,
   }
   // Read: the deferred receive.  A writer that died after submission with
   // nothing left on the wire can never satisfy it — fail fast like PI_Read.
-  if (auto failure = app.process_failure(ch.from)) {
-    if (!ctx.mpi().iprobe(rt.read_source, rt.tag)) {
-      engine.release(&op);
-      throw_peer_failure(failure->status, failure->detail, ch, file, line);
-    }
-  }
-  notify_block(ctx, ch.from, ch.id);
-  std::vector<std::byte> framed = recv_channel_frame(ctx, ch, rt);
-  notify_unblock(ctx);
   try {
-    if (is_fault_frame(framed)) {
-      const FaultFrame fault = parse_fault_frame(framed);
-      note_peer_death(app, ch, fault);
-      throw_peer_failure(fault.status, fault.detail, ch, file, line);
-    }
-    check_frame(framed, op.signature, op.plan.payload_bytes,
-                "channel " + ch.name);
+    rank_receive(ctx, ch, op.signature, op.plan, "channel ", file, line);
   } catch (...) {
     engine.release(&op);
     throw;
   }
-  const std::span<std::byte> payload =
-      std::span(framed).subspan(sizeof(WireHeader));
-  if (rt.writer_big_endian) swap_element_bytes(op.plan.fmt, payload);
-  scatter(op.plan, payload);
   charge_rank_call(ctx, op.plan.payload_bytes);
   const simtime::SimTime end = ctx.mpi().clock().now();
   record_harvest(op, ch, entity, wait_begin, end);
@@ -606,12 +613,7 @@ PI_HANDLE write_async_impl(const char* file, int line, PI_CHANNEL* ch,
 
   // --- SPE-side writer ----------------------------------------------------
   if (SpeDispatch* sd = spe_dispatch()) {
-    if (sd->process_id != ch->from) {
-      throw PilotError(ErrorCode::kEndpoint,
-                       "process P" + std::to_string(sd->process_id) +
-                           " is not the writer of channel " + ch->name,
-                       file, line);
-    }
+    require_endpoint(sd->process_id, *ch, /*writer=*/true, file, line);
     cellpilot::Route& rt = route_of(*ch, file, line);
     cellpilot::WriterState& ws = rt.writer;
     const cellpilot::FormatPlan& plan = ws.formats.lookup(fmt);
@@ -651,50 +653,15 @@ PI_HANDLE write_async_impl(const char* file, int line, PI_CHANNEL* ch,
   // --- rank-side writer -----------------------------------------------------
   PilotContext& ctx =
       ctx_in_phase(Phase::kExecution, "PI_WriteAsync", file, line);
-  if (ctx.my_process != ch->from) {
-    throw PilotError(ErrorCode::kEndpoint,
-                     "process P" + std::to_string(ctx.my_process) +
-                         " is not the writer of channel " + ch->name,
-                     file, line);
-  }
-  PilotApp& app = ctx.app();
-  cellpilot::Route& rt = route_of(*ch, file, line);
-  if (rt.needs_transport) transport_or_die(app, file, line);
-  if (auto failure = app.process_failure(ch->to)) {
-    throw_peer_failure(failure->status, failure->detail, *ch, file, line);
-  }
-
-  cellpilot::WriterState& ws = rt.writer;
-  const cellpilot::FormatPlan& plan = ws.formats.lookup(fmt);
-  ws.staging.resize(sizeof(WireHeader));
-  marshal_append(plan.parsed, args, ws.staging, ws.counts);
-  const std::size_t payload_bytes = ws.staging.size() - sizeof(WireHeader);
-  const std::uint32_t sig = wire_signature(plan, ws.counts);
-  const simtime::SimTime call_begin = ctx.mpi().clock().now();
-  charge_rank_call(ctx, payload_bytes);
-
-  const std::span<std::byte> payload =
-      std::span(ws.staging).subspan(sizeof(WireHeader));
-  if (rt.writer_big_endian) {
-    swap_element_bytes(plan.parsed, ws.counts, payload);
-  }
-  const std::uint32_t epoch = cellpilot::epochs::current(ch->id);
-  frame_in_place(ws.staging, sig, epoch);
-  if (simtime::metrics::armed()) {
-    cellpilot::metrics::LatencyLedger::global().push(ch->id, call_begin);
-  }
-  mpisim::reliable::set_send_epoch(epoch);
-  ctx.mpi().send(ws.staging.data(), ws.staging.size(), rt.write_dest, rt.tag);
-  cellpilot::trace::ChannelCounters::global().add_message(ch->id,
-                                                          payload_bytes);
+  const RankSend sent = rank_send(ctx, *ch, fmt, args, file, line);
   PI_OP* op = engine.create(cp::Kind::kWrite);
   op->channel = ch->id;
-  op->route_type = static_cast<std::int8_t>(rt.type);
-  op->bytes = payload_bytes;
+  op->route_type = static_cast<std::int8_t>(sent.rt->type);
+  op->bytes = sent.payload_bytes;
   op->file = file;
   op->line = line;
-  op->signature = sig;
-  op->submit_begin = call_begin;
+  op->signature = sent.sig;
+  op->submit_begin = sent.begin;
   // The frame is on the wire: a rank-side write settles at submission, and
   // PI_Wait on it returns immediately.
   op->status.store(
@@ -713,12 +680,7 @@ PI_HANDLE read_async_impl(const char* file, int line, PI_CHANNEL* ch,
 
   // --- SPE-side reader ----------------------------------------------------
   if (SpeDispatch* sd = spe_dispatch()) {
-    if (sd->process_id != ch->to) {
-      throw PilotError(ErrorCode::kEndpoint,
-                       "process P" + std::to_string(sd->process_id) +
-                           " is not the reader of channel " + ch->name,
-                       file, line);
-    }
+    require_endpoint(sd->process_id, *ch, /*writer=*/false, file, line);
     cellpilot::Route& rt = route_of(*ch, file, line);
     const cellpilot::FormatPlan& plan = rt.reader.formats.lookup(fmt);
     PI_OP* op = engine.create(cp::Kind::kRead);
@@ -747,15 +709,9 @@ PI_HANDLE read_async_impl(const char* file, int line, PI_CHANNEL* ch,
   // --- rank-side reader -----------------------------------------------------
   PilotContext& ctx =
       ctx_in_phase(Phase::kExecution, "PI_ReadAsync", file, line);
-  if (ctx.my_process != ch->to) {
-    throw PilotError(ErrorCode::kEndpoint,
-                     "process P" + std::to_string(ctx.my_process) +
-                         " is not the reader of channel " + ch->name,
-                     file, line);
-  }
-  PilotApp& app = ctx.app();
+  require_endpoint(ctx.my_process, *ch, /*writer=*/false, file, line);
   cellpilot::Route& rt = route_of(*ch, file, line);
-  if (rt.needs_transport) transport_or_die(app, file, line);
+  if (rt.needs_transport) transport_or_die(ctx.app(), file, line);
   const cellpilot::FormatPlan& plan = rt.reader.formats.lookup(fmt);
   PI_OP* op = engine.create(cp::Kind::kRead);
   build_read_plan_into(plan.parsed, args, op->plan);
@@ -772,16 +728,11 @@ PI_HANDLE read_async_impl(const char* file, int line, PI_CHANNEL* ch,
   // A writer that already died with nothing on the wire can never satisfy
   // this read: poison the handle now, so the *harvest* throws the failure
   // (the async contract defers all data-plane errors to the wait side).
-  bool doomed = false;
-  if (auto failure = app.process_failure(ch->from)) {
-    if (!ctx.mpi().iprobe(rt.read_source, rt.tag)) {
-      op->status.store(failure->status, std::memory_order_relaxed);
-      op->fault_detail = failure->detail;
-      cp::set_state(*op, cp::State::kFaulted);
-      doomed = true;
-    }
+  if (auto failure = dead_writer(ctx, *ch)) {
+    fail_op(*op, *failure);
+  } else {
+    cp::set_state(*op, cp::State::kInFlight);
   }
-  if (!doomed) cp::set_state(*op, cp::State::kInFlight);
   cp::OpRegistry::global().add(op, rank_entity(ctx));
   record_submit(*op, rank_entity(ctx), ctx.mpi().clock().now());
   return op;
@@ -804,6 +755,52 @@ PilotContext& bundle_ctx(const char* file, int line, PI_BUNDLE* b,
                      file, line);
   }
   return ctx;
+}
+
+/// The channels a select waits on, in the caller's index space: those of
+/// bundle `b` (if any), then the channel of each of `count` read handles.
+std::vector<const PI_CHANNEL*> select_channels(PilotContext& ctx,
+                                               const PI_BUNDLE* b,
+                                               const PI_HANDLE* handles,
+                                               int count) {
+  std::vector<const PI_CHANNEL*> chans;
+  if (b != nullptr) chans.assign(b->channels.begin(), b->channels.end());
+  for (int i = 0; i < count; ++i) {
+    chans.push_back(&ctx.app().channel(handles[i]->channel));
+  }
+  return chans;
+}
+
+/// One {read_source, tag} probe pattern per channel, in order.
+std::vector<mpisim::MatchQueue::Pattern> read_patterns(
+    const std::vector<const PI_CHANNEL*>& chans, const char* file, int line) {
+  std::vector<mpisim::MatchQueue::Pattern> patterns;
+  patterns.reserve(chans.size());
+  for (const PI_CHANNEL* ch : chans) {
+    const cellpilot::Route& rt = route_of(*ch, file, line);
+    patterns.push_back({rt.read_source, rt.tag});
+  }
+  return patterns;
+}
+
+/// Reports the calling rank blocked on every channel's writer.
+void notify_block_all(PilotContext& ctx,
+                      const std::vector<const PI_CHANNEL*>& chans) {
+  for (const PI_CHANNEL* ch : chans) notify_block(ctx, ch->from, ch->id);
+}
+
+/// The index of the first channel whose writer died with nothing on the
+/// wire, with that failure.  Such a channel can never become ready, so a
+/// select counts it as ready now and the follow-up read surfaces the
+/// failure instead of the select blocking forever.
+std::optional<std::pair<int, PilotApp::ProcessFailure>> first_dead_writer(
+    PilotContext& ctx, const std::vector<const PI_CHANNEL*>& chans) {
+  for (std::size_t i = 0; i < chans.size(); ++i) {
+    if (auto failure = dead_writer(ctx, *chans[i])) {
+      return std::pair{static_cast<int>(i), std::move(*failure)};
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -1238,40 +1235,29 @@ void PI_Gather_(const char* file, int line, PI_BUNDLE* b, const char* fmt,
   for (std::size_t i = 0; i < b->channels.size(); ++i) {
     PI_CHANNEL* ch = b->channels[i];
     cellpilot::Route& rt = route_of(*ch, file, line);
-    if (auto failure = ctx.app().process_failure(ch->from)) {
-      if (!ctx.mpi().iprobe(rt.read_source, rt.tag)) {
-        throw_peer_failure(failure->status, failure->detail, *ch, file, line);
-      }
+    ReadPlan shifted = plan;
+    for (std::size_t j = 0; j < shifted.destinations.size(); ++j) {
+      const FormatItem& item = shifted.fmt.items[j];
+      const std::size_t item_bytes = element_size(item.type) * item.count;
+      shifted.destinations[j] =
+          static_cast<std::byte*>(plan.destinations[j]) + i * item_bytes;
     }
     const simtime::SimTime leg_begin = ctx.mpi().clock().now();
-    notify_block(ctx, ch->from, ch->id);
-    std::vector<std::byte> framed = recv_channel_frame(ctx, *ch, rt);
-    notify_unblock(ctx);
+    rank_receive(ctx, *ch, sig, shifted, "gather channel ", file, line);
     const simtime::SimTime leg_end = ctx.mpi().clock().now();
-    if (is_fault_frame(framed)) {
-      const FaultFrame fault = parse_fault_frame(framed);
-      note_peer_death(ctx.app(), *ch, fault);
-      throw_peer_failure(fault.status, fault.detail, *ch, file, line);
-    }
-    check_frame(framed, sig, plan.payload_bytes,
-                "gather channel " + ch->name);
     // Recorded only once the frame is known good — point-to-point reads do
     // the same, so a faulted leg never produces a phantom pilot_read and
     // the offline write/read pairing (tools/tracestats) stays aligned with
-    // the online latency ledger.  No clock moves between the receive and
-    // here, so clean-path stamps are unchanged.
+    // the online latency ledger.
+    const auto route = static_cast<std::int8_t>(rt.type);
     if (simtime::tracebuf::armed()) {
-      simtime::tracebuf::record(
-          simtime::tracebuf::Kind::kPilotRead,
-          ctx.app().cluster().world().info(ctx.rank()).name, leg_begin,
-          leg_end, framed.size() - sizeof(WireHeader), ch->id,
-          static_cast<std::int8_t>(rt.type));
+      simtime::tracebuf::record(simtime::tracebuf::Kind::kPilotRead,
+                                rank_entity(ctx), leg_begin, leg_end,
+                                plan.payload_bytes, ch->id, route);
     }
     if (simtime::metrics::armed()) {
       namespace sm = simtime::metrics;
-      const std::string& entity =
-          ctx.app().cluster().world().info(ctx.rank()).name;
-      const auto route = static_cast<std::int8_t>(rt.type);
+      const std::string& entity = rank_entity(ctx);
       sm::record(sm::Kind::kReadBlock, route, ch->id, entity,
                  leg_end - leg_begin);
       simtime::SimTime write_begin = 0;
@@ -1281,52 +1267,26 @@ void PI_Gather_(const char* file, int line, PI_BUNDLE* b, const char* fmt,
                    leg_end - write_begin);
       }
     }
-    const std::span<std::byte> payload =
-        std::span(framed).subspan(sizeof(WireHeader));
-    if (rt.writer_big_endian) swap_element_bytes(plan.fmt, payload);
-    ReadPlan shifted = plan;
-    for (std::size_t j = 0; j < shifted.destinations.size(); ++j) {
-      const FormatItem& item = shifted.fmt.items[j];
-      const std::size_t item_bytes = element_size(item.type) * item.count;
-      shifted.destinations[j] =
-          static_cast<std::byte*>(plan.destinations[j]) + i * item_bytes;
-    }
-    scatter(shifted, payload);
   }
   charge_rank_call(ctx, plan.payload_bytes * b->channels.size());
 }
 
 int PI_Select(PI_BUNDLE* b) {
   PilotContext& ctx = bundle_ctx(nullptr, 0, b, PI_SELECT, "PI_Select");
-  std::vector<mpisim::MatchQueue::Pattern> patterns;
-  patterns.reserve(b->channels.size());
-  for (PI_CHANNEL* ch : b->channels) {
-    const cellpilot::Route& rt = route_of(*ch, nullptr, 0);
-    patterns.push_back({rt.read_source, rt.tag});
-    notify_block(ctx, ch->from, ch->id);
-  }
-  // Fault fast-path: with nothing ready, a channel whose writer already
-  // died (and left nothing on the wire) will never become ready.  Return
-  // its index — lowest first, deterministically — so the caller's PI_Read
-  // surfaces the failure, instead of this select blocking forever.
-  if (!ctx.app().cluster().world().queue(ctx.rank())
-           .try_probe_any(patterns)
-           .has_value()) {
-    for (std::size_t i = 0; i < b->channels.size(); ++i) {
-      PI_CHANNEL* ch = b->channels[i];
-      if (auto failure = ctx.app().process_failure(ch->from)) {
-        const cellpilot::Route& rt = route_of(*ch, nullptr, 0);
-        if (!ctx.mpi().iprobe(rt.read_source, rt.tag)) {
-          notify_unblock(ctx);
-          charge_rank_call(ctx, 0);
-          return static_cast<int>(i);
-        }
-      }
+  const auto chans = select_channels(ctx, b, nullptr, 0);
+  const auto patterns = read_patterns(chans, nullptr, 0);
+  notify_block_all(ctx, chans);
+  mpisim::MatchQueue& queue = ctx.app().cluster().world().queue(ctx.rank());
+  // Fault fast-path: with nothing ready, the lowest-indexed dead writer's
+  // channel is returned, deterministically.
+  if (!queue.try_probe_any(patterns).has_value()) {
+    if (const auto dead = first_dead_writer(ctx, chans)) {
+      notify_unblock(ctx);
+      charge_rank_call(ctx, 0);
+      return dead->first;
     }
   }
-  const auto [index, env] =
-      ctx.app().cluster().world().queue(ctx.rank()).probe_any_blocking(
-          patterns);
+  const auto [index, env] = queue.probe_any_blocking(patterns);
   notify_unblock(ctx);
   charge_rank_call(ctx, 0);
   return static_cast<int>(index);
@@ -1334,28 +1294,15 @@ int PI_Select(PI_BUNDLE* b) {
 
 int PI_TrySelect(PI_BUNDLE* b) {
   PilotContext& ctx = bundle_ctx(nullptr, 0, b, PI_SELECT, "PI_TrySelect");
-  std::vector<mpisim::MatchQueue::Pattern> patterns;
-  patterns.reserve(b->channels.size());
-  for (PI_CHANNEL* ch : b->channels) {
-    const cellpilot::Route& rt = route_of(*ch, nullptr, 0);
-    patterns.push_back({rt.read_source, rt.tag});
-  }
+  const auto chans = select_channels(ctx, b, nullptr, 0);
+  const auto patterns = read_patterns(chans, nullptr, 0);
   charge_rank_call(ctx, 0);
   const auto hit =
       ctx.app().cluster().world().queue(ctx.rank()).try_probe_any(patterns);
   if (hit) return static_cast<int>(hit->first);
-  // Same fault fast-path as PI_Select: a dead writer's channel counts as
-  // ready so the caller's PI_Read can surface the failure.
-  for (std::size_t i = 0; i < b->channels.size(); ++i) {
-    PI_CHANNEL* ch = b->channels[i];
-    if (auto failure = ctx.app().process_failure(ch->from)) {
-      const cellpilot::Route& rt = route_of(*ch, nullptr, 0);
-      if (!ctx.mpi().iprobe(rt.read_source, rt.tag)) {
-        return static_cast<int>(i);
-      }
-    }
-  }
-  return -1;
+  // Same fault fast-path as PI_Select.
+  const auto dead = first_dead_writer(ctx, chans);
+  return dead ? dead->first : -1;
 }
 
 PI_HANDLE PI_WriteAsync_(const char* file, int line, PI_CHANNEL* ch,
@@ -1427,40 +1374,22 @@ int PI_WaitAny_(const char* file, int line, PI_HANDLE* handles, int count) {
     }
   }
   // Everything left is an in-flight read: poll for an arrived frame.
-  std::vector<mpisim::MatchQueue::Pattern> patterns;
-  patterns.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    PI_CHANNEL& ch = ctx.app().channel(handles[i]->channel);
-    const cellpilot::Route& rt = route_of(ch, file, line);
-    patterns.push_back({rt.read_source, rt.tag});
-  }
+  const auto chans = select_channels(ctx, nullptr, handles, count);
+  const auto patterns = read_patterns(chans, file, line);
   mpisim::MatchQueue& queue = ctx.app().cluster().world().queue(ctx.rank());
   if (const auto hit = queue.try_probe_any(patterns)) {
     const int i = static_cast<int>(hit->first);
     rank_harvest(ctx, *handles[i], file, line);
     return i;
   }
-  // Nothing ready: an operation whose writer already died (with nothing
-  // on the wire) will never complete — surface its failure now instead of
-  // blocking forever.
-  for (int i = 0; i < count; ++i) {
-    PI_OP& op = *handles[i];
-    PI_CHANNEL& ch = ctx.app().channel(op.channel);
-    if (auto failure = ctx.app().process_failure(ch.from)) {
-      const cellpilot::Route& rt = route_of(ch, file, line);
-      if (!ctx.mpi().iprobe(rt.read_source, rt.tag)) {
-        op.status.store(failure->status, std::memory_order_relaxed);
-        op.fault_detail = failure->detail;
-        cpn::set_state(op, cpn::State::kFaulted);
-        rank_harvest(ctx, op, file, line);  // throws
-        return i;
-      }
-    }
+  // Nothing ready: an operation whose writer already died will never
+  // complete — surface its failure now instead of blocking forever.
+  if (const auto dead = first_dead_writer(ctx, chans)) {
+    fail_op(*handles[dead->first], dead->second);
+    rank_harvest(ctx, *handles[dead->first], file, line);  // throws
+    return dead->first;
   }
-  for (int i = 0; i < count; ++i) {
-    PI_CHANNEL& ch = ctx.app().channel(handles[i]->channel);
-    notify_block(ctx, ch.from, ch.id);
-  }
+  notify_block_all(ctx, chans);
   const auto [index, env] = queue.probe_any_blocking(patterns);
   notify_unblock(ctx);
   const int i = static_cast<int>(index);
@@ -1499,17 +1428,8 @@ int PI_SelectAny_(const char* file, int line, PI_BUNDLE* b,
   }
   // One pattern per bundle channel, then per in-flight read handle; a
   // probe index maps straight back to the caller's index space.
-  std::vector<mpisim::MatchQueue::Pattern> patterns;
-  patterns.reserve(static_cast<std::size_t>(nb + count));
-  for (int i = 0; i < nb; ++i) {
-    const cellpilot::Route& rt = route_of(*b->channels[i], file, line);
-    patterns.push_back({rt.read_source, rt.tag});
-  }
-  for (int i = 0; i < count; ++i) {
-    PI_CHANNEL& ch = ctx.app().channel(handles[i]->channel);
-    const cellpilot::Route& rt = route_of(ch, file, line);
-    patterns.push_back({rt.read_source, rt.tag});
-  }
+  const auto chans = select_channels(ctx, b, handles, count);
+  const auto patterns = read_patterns(chans, file, line);
   mpisim::MatchQueue& queue = ctx.app().cluster().world().queue(ctx.rank());
   if (const auto hit = queue.try_probe_any(patterns)) {
     charge_rank_call(ctx, 0);
@@ -1518,37 +1438,12 @@ int PI_SelectAny_(const char* file, int line, PI_BUNDLE* b,
   // Doomed scan, bundle channels first: a dead writer with nothing on the
   // wire makes its channel/handle permanently ready (the follow-up
   // PI_Read / PI_Wait throws the failure).
-  for (int i = 0; i < nb; ++i) {
-    PI_CHANNEL* ch = b->channels[i];
-    if (auto failure = ctx.app().process_failure(ch->from)) {
-      const cellpilot::Route& rt = route_of(*ch, file, line);
-      if (!ctx.mpi().iprobe(rt.read_source, rt.tag)) {
-        charge_rank_call(ctx, 0);
-        return i;
-      }
-    }
+  if (const auto dead = first_dead_writer(ctx, chans)) {
+    if (dead->first >= nb) fail_op(*handles[dead->first - nb], dead->second);
+    charge_rank_call(ctx, 0);
+    return dead->first;
   }
-  for (int i = 0; i < count; ++i) {
-    PI_OP& op = *handles[i];
-    PI_CHANNEL& ch = ctx.app().channel(op.channel);
-    if (auto failure = ctx.app().process_failure(ch.from)) {
-      const cellpilot::Route& rt = route_of(ch, file, line);
-      if (!ctx.mpi().iprobe(rt.read_source, rt.tag)) {
-        op.status.store(failure->status, std::memory_order_relaxed);
-        op.fault_detail = failure->detail;
-        cpn::set_state(op, cpn::State::kFaulted);
-        charge_rank_call(ctx, 0);
-        return nb + i;
-      }
-    }
-  }
-  for (int i = 0; i < nb; ++i) {
-    notify_block(ctx, b->channels[i]->from, b->channels[i]->id);
-  }
-  for (int i = 0; i < count; ++i) {
-    PI_CHANNEL& ch = ctx.app().channel(handles[i]->channel);
-    notify_block(ctx, ch.from, ch.id);
-  }
+  notify_block_all(ctx, chans);
   const auto [index, env] = queue.probe_any_blocking(patterns);
   notify_unblock(ctx);
   charge_rank_call(ctx, 0);
@@ -1681,12 +1576,8 @@ int PI_ChannelHasData(PI_CHANNEL* ch) {
     throw PilotError(ErrorCode::kUsage, "PI_ChannelHasData: null channel");
   }
   PilotContext& ctx = ctx_in_phase(Phase::kExecution, "PI_ChannelHasData");
-  if (ctx.my_process != ch->to) {
-    throw PilotError(ErrorCode::kEndpoint,
-                     "PI_ChannelHasData: process P" +
-                         std::to_string(ctx.my_process) +
-                         " is not the reader of channel " + ch->name);
-  }
+  require_endpoint(ctx.my_process, *ch, /*writer=*/false, nullptr, 0,
+                   "PI_ChannelHasData: ");
   charge_rank_call(ctx, 0);
   const cellpilot::Route& rt = route_of(*ch, nullptr, 0);
   return ctx.mpi().iprobe(rt.read_source, rt.tag).has_value() ? 1 : 0;

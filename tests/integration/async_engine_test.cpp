@@ -13,7 +13,8 @@
 //    live; PI_SelectAny multiplexes bundles and handle sets in one call;
 //  * PI_Select / PI_TrySelect on a bundle with a dead writer return that
 //    channel's index so the caller's PI_Read surfaces PI_SPE_FAULT /
-//    PI_COPILOT_FAULT — readiness includes "ready to fail", never a hang.
+//    PI_COPILOT_FAULT — readiness includes "ready to fail", never a hang;
+//    PI_WaitAny / PI_SelectAny treat a read handle the same way.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -329,6 +330,67 @@ TEST_F(AsyncEngineTest, SelectSurfacesSpeFaultInsteadOfHanging) {
   EXPECT_EQ(read_code, static_cast<int>(PI_SPE_FAULT));
   EXPECT_NE(read_detail.find("Table I type"), std::string::npos)
       << read_detail;
+}
+
+TEST_F(AsyncEngineTest, WaitAnyAndSelectAnySurfaceADeadWriterWithAnEmptyWire) {
+  cluster::Cluster machine = one_cell();
+  cellpilot::RunOptions opts;
+  opts.args = {"-pifault=spe_crash@node0.cell0.spe0:op=1"};
+  int first_code = -1;
+  int wait_any_code = -1;
+  std::string wait_any_detail;
+  int selected = -1;
+  int wait_code = -1;
+  const auto r = cellpilot::run(
+      machine,
+      [&](int argc, char** argv) {
+        PI_Configure(&argc, &argv);
+        PI_PROCESS* doomed = PI_CreateSPE(doomed_select_writer, PI_MAIN, 0);
+        PI_PROCESS* quiet = PI_CreateSPE(quiet_writer, PI_MAIN, 1);
+        g_a = PI_CreateChannel(quiet, PI_MAIN);
+        g_b = PI_CreateChannel(doomed, PI_MAIN);
+        PI_CHANNEL* chans[1] = {g_a};
+        PI_BUNDLE* bundle = PI_CreateBundle(PI_SELECT, chans, 1);
+        PI_StartAll();
+        // Submitted before the writer runs, so all three are in flight.
+        int v = 0;
+        PI_HANDLE first = PI_ReadAsync(g_b, "%d", &v);
+        PI_HANDLE waited[1] = {PI_ReadAsync(g_b, "%d", &v)};
+        PI_HANDLE selects[1] = {PI_ReadAsync(g_b, "%d", &v)};
+        PI_RunSPE(doomed, 0, nullptr);  // first launch -> node0.cell0.spe0
+        PI_RunSPE(quiet, 0, nullptr);
+        // The first harvest consumes the Co-Pilot's fault frame; after it
+        // the writer is dead and nothing of its is left on the wire.
+        try {
+          PI_Wait(first);
+        } catch (const PilotError& e) {
+          first_code = static_cast<int>(e.code());
+        }
+        try {
+          PI_WaitAny(waited, 1);
+        } catch (const PilotError& e) {
+          wait_any_code = static_cast<int>(e.code());
+          wait_any_detail = e.detail();
+        }
+        selected = PI_SelectAny(bundle, selects, 1);
+        try {
+          PI_Wait(selects[0]);
+        } catch (const PilotError& e) {
+          wait_code = static_cast<int>(e.code());
+        }
+        PI_StopMain(0);
+        return 0;
+      },
+      opts);
+  ASSERT_FALSE(r.aborted) << "a survivable SPE fault aborted the job: "
+                          << r.abort_reason;
+  EXPECT_EQ(first_code, static_cast<int>(PI_SPE_FAULT));
+  EXPECT_EQ(wait_any_code, static_cast<int>(PI_SPE_FAULT))
+      << "PI_WaitAny must not hang on a dead writer";
+  EXPECT_NE(wait_any_detail.find("Table I type"), std::string::npos)
+      << wait_any_detail;
+  EXPECT_EQ(selected, 1) << "bundle_size + handle index names the handle";
+  EXPECT_EQ(wait_code, static_cast<int>(PI_SPE_FAULT));
 }
 
 PI_SPE_PROGRAM(victim_writer) {
