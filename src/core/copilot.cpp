@@ -21,6 +21,7 @@
 #include "core/flightrec.hpp"
 #include "core/metrics.hpp"
 #include "core/protocol.hpp"
+#include "core/scheduler.hpp"
 #include "core/spe_runtime.hpp"
 #include "core/trace.hpp"
 #include "mpisim/reliable.hpp"
@@ -84,43 +85,10 @@ using simtime::tracebuf::Kind;
 
 constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
 
-/// One Co-Pilot's live state.
-///
-/// The Co-Pilot is a *serial* resource (the PPE's second hardware thread):
-/// its virtual clock accumulates every request it services, which is
-/// exactly the contention the paper measures.  Because the simulation's
-/// host threads race, events do not arrive in virtual-time order; the
-/// service therefore runs a conservative discrete-event rule: an event with
-/// stamp T is processed only once every potential source -- local SPEs,
-/// user ranks, peer Co-Pilots -- provably cannot produce an earlier one
-/// (their clocks have passed T, or they are parked/blocked/done).  This
-/// makes all timing results deterministic regardless of host scheduling.
-class CopilotService {
+/// One Co-Pilot's live state: the data plane (the route handlers), recovery,
+/// and the Sources through which core/scheduler sees the machine.
+class CopilotService final : private Sources {
  private:
-  struct Assembly {
-    std::uint32_t words[kAsyncRequestWords] = {};
-    int n = 0;
-    SimTime first_stamp = 0;  ///< stamp of the request's first mailbox word
-    SimTime last_stamp = 0;
-  };
-
-  struct ReadyRequest {
-    SpeRequest req;
-    unsigned spe = 0;
-    SimTime stamp = 0;        ///< stamp of the request's final mailbox word
-    SimTime first_stamp = 0;  ///< stamp of its first word (deadline base)
-  };
-
-  struct Pending {
-    SpeRequest req;
-    unsigned spe = 0;
-    /// MPI source the data will come from (kRank writer or remote
-    /// Co-Pilot); kAnySource for type-4 reads awaiting a local writer.
-    mpisim::Rank expected_source = mpisim::kAnySource;
-    /// The channel's data tag, copied from its compiled route.
-    int tag = 0;
-  };
-
   /// One delivered operation in a process's replay journal.
   struct JournalOp {
     std::uint32_t signature = 0;
@@ -158,8 +126,7 @@ class CopilotService {
   /// channel and route tables are compiled state (app_) and need no
   /// hand-off.
   struct ServiceState {
-    std::vector<Assembly> assembly;  ///< one per SPE slot
-    std::vector<ReadyRequest> ready;
+    EventQueue queue;
     // Insertion order is preserved for equal keys, so each channel's
     // parked requests form a FIFO — several async operations from one SPE
     // may be parked at once.
@@ -212,7 +179,7 @@ class CopilotService {
         blade_(app.cluster().blade(node)),
         cost_(app.cluster().cost()),
         published_bound_(app.cluster().copilot_bound(node)) {
-    state_.assembly.resize(blade_.spe_count());
+    state_.queue.assembly.resize(blade_.spe_count());
     if (crash != nullptr) recover(*crash);
   }
 
@@ -225,35 +192,20 @@ class CopilotService {
 
   int run() {
     for (;;) {
-      drain_mailboxes();
-      publish_bound();
-
-      const auto candidate = pick_candidate();
-      if (!candidate) {
+      const Step step = schedule(*this, state_.queue, state_.reads);
+      if (step.status == Step::kIdle) {
         std::this_thread::sleep_for(std::chrono::microseconds(40));
         continue;
       }
-      const SimTime safe = safe_time();
-      if (!(candidate->stamp < safe || safe == kForever)) {
-        // A source at or before the candidate's stamp might still produce
-        // an earlier (or equal-stamp) event; wait (in real time) for it to
-        // advance past the stamp, park, or finish.  Strictness keeps the
-        // processing order independent of host scheduling.
+      if (step.status == Step::kBlocked) {
+        // A source might still produce an earlier event; wait (in real
+        // time) for it to advance past the stamp, park, or finish.
         std::this_thread::sleep_for(std::chrono::microseconds(20));
         continue;
       }
-      // Revalidate: a source may have emitted an earlier event and then
-      // parked *between* the drain above and the quiescence check (parking
-      // is what made the gate pass).  Its event is already in the mailbox,
-      // so one more drain surfaces it; if the earliest candidate changed,
-      // start over.
-      drain_mailboxes();
-      const auto recheck = pick_candidate();
-      if (!recheck || recheck->before(*candidate) ||
-          candidate->before(*recheck)) {
-        continue;
-      }
-      switch (candidate->kind) {
+      if (step.status == Step::kStale) continue;
+      const Candidate& candidate = step.event;
+      switch (candidate.kind) {
         case Candidate::kShutdown: {
           std::uint8_t poison = 0;
           mpi_.recv_internal(&poison, 1, mpisim::kAnySource,
@@ -261,9 +213,10 @@ class CopilotService {
           return 0;
         }
         case Candidate::kRequest: {
-          const ReadyRequest ready = state_.ready[candidate->index];
-          state_.ready.erase(state_.ready.begin() +
-                             static_cast<std::ptrdiff_t>(candidate->index));
+          const ReadyRequest ready = state_.queue.ready[candidate.index];
+          state_.queue.ready.erase(
+              state_.queue.ready.begin() +
+              static_cast<std::ptrdiff_t>(candidate.index));
           process_request(ready);
           break;
         }
@@ -271,9 +224,8 @@ class CopilotService {
           // lower_bound = the *oldest* parked read on the channel (the
           // multimap preserves insertion order for equal keys): frames on
           // one channel arrive in order, so they pair FIFO.
-          auto it = state_.reads.lower_bound(candidate->channel);
-          if (it != state_.reads.end() &&
-              it->first == candidate->channel &&
+          auto it = state_.reads.lower_bound(candidate.channel);
+          if (it != state_.reads.end() && it->first == candidate.channel &&
               complete_mpi_read(it->second)) {
             state_.reads.erase(it);
             record_parked_gauge();
@@ -287,11 +239,11 @@ class CopilotService {
           // lasts; past the last rung, convert the death into error
           // completions / fault frames at every peer, exactly as an
           // unsupervised death.
-          const unsigned s = candidate->spe;
+          const unsigned s = candidate.spe;
           const cellsim::Spe::FaultNotice* notice =
               blade_.spe(s).fault_notice();
           state_.dead_spes.insert(s);
-          state_.assembly[s] = Assembly{};  // a partial request dies with it
+          state_.queue.assembly[s] = {};  // a partial request dies with it
           clock().join(notice->stamp);
           const int pid = app_.spe_process(node_, s);
           if (!try_respawn(pid, s, *notice)) {
@@ -344,56 +296,15 @@ class CopilotService {
   }
 
  private:
-  struct Candidate {
-    enum Kind { kRequest, kMpiData, kShutdown, kSpeFault };
-    SimTime stamp = 0;
-    Kind kind = kRequest;
-    std::size_t index = 0;  ///< into state_.ready for kRequest
-    int channel = -1;       ///< pending-read channel for kMpiData
-    unsigned spe = 0;       ///< issuing SPE for kRequest (tie-breaking)
-
-    /// Total order: stamp, then kind, then SPE, then channel — so that
-    /// equal-stamp events are processed in the same order regardless of
-    /// the real-time order in which they became visible.
-    bool before(const Candidate& other) const {
-      if (stamp != other.stamp) return stamp < other.stamp;
-      if (kind != other.kind) return kind < other.kind;
-      if (spe != other.spe) return spe < other.spe;
-      return channel < other.channel;
-    }
-  };
-
   simtime::VirtualClock& clock() { return mpi_.clock(); }
 
-  /// Moves available mailbox words into per-SPE assemblies and completed
-  /// requests into the ready queue.  No virtual time is charged here; the
-  /// MMIO read costs are charged when the request is processed, in stamp
-  /// order.
-  void drain_mailboxes() {
-    for (unsigned s = 0; s < blade_.spe_count(); ++s) {
-      // A blade_kill closes its victims' mailboxes; polling a closed,
-      // empty mailbox throws.  A dead slot has nothing to say anyway.
-      if (state_.dead_spes.count(s) != 0) continue;
-      while (auto entry = blade_.spe(s).outbound_mailbox().try_pop()) {
-        Assembly& a = state_.assembly[s];
-        if (a.n == 0) a.first_stamp = entry->stamp;
-        a.words[a.n++] = entry->value;
-        a.last_stamp = entry->stamp;
-        // The first word names the opcode, which fixes the request length
-        // (4 words for the blocking opcodes, 5 for the token-carrying
-        // async ones; unknown opcodes decode as 4 so the protocol check
-        // can reject them without desynchronising the word stream).
-        if (a.n == words_for(unpack_opcode(a.words[0]))) {
-          ReadyRequest ready;
-          ready.req = decode(a.words);
-          ready.spe = s;
-          ready.stamp = a.last_stamp;
-          ready.first_stamp = a.first_stamp;
-          state_.ready.push_back(ready);
-          a.n = 0;
-        }
-      }
-    }
+  // Sources: the scheduler's view of this blade, MPI and the cluster.
+
+  std::optional<cellsim::MailboxEntry> pop_word(unsigned s) override {
+    // A blade_kill closes its victims' mailboxes; polling a closed, empty
+    // mailbox throws.  A dead slot has nothing to say anyway.
+    if (state_.dead_spes.count(s) != 0) return std::nullopt;
+    return blade_.spe(s).outbound_mailbox().try_pop();
   }
 
   /// Lower bound on the stamp of anything SPE `s` may still put into its
@@ -402,9 +313,9 @@ class CopilotService {
   /// with a completion queued, its next actions stamp at or after that
   /// completion (or its own clock, whichever is lower — the clock read may
   /// lag the join).
-  SimTime spe_bound(unsigned s) {
-    // A dead SPE's clock is frozen at its death stamp and must not pin the
-    // safe time: its fault notice is itself a candidate at that stamp, so
+  SimTime spe_bound(unsigned s) override {
+    // A dead SPE's clock is frozen at its death stamp and must not hold the
+    // gate: its fault notice is itself a candidate at that stamp, so
     // ordering is preserved without the bound.
     if (state_.dead_spes.count(s) != 0) return kForever;
     if (blade_.spe(s).fault_notice() != nullptr) return kForever;
@@ -416,95 +327,40 @@ class CopilotService {
     return spe.clock().now();
   }
 
-  /// Publishes the lower bound on stamps of future *inter-node relays*
-  /// this Co-Pilot may originate: the minimum over local SPE bounds,
-  /// queued requests, and partial assemblies.  Peer Co-Pilots fold this
-  /// into their safe time (conservative null message).
-  void publish_bound() {
-    SimTime bound = kForever;
-    for (unsigned s = 0; s < blade_.spe_count(); ++s) {
-      if (state_.assembly[s].n > 0) {
-        bound = std::min(bound, state_.assembly[s].last_stamp);
-      }
-      bound = std::min(bound, spe_bound(s));
-    }
-    for (const ReadyRequest& r : state_.ready) {
-      bound = std::min(bound, r.stamp);
-    }
-    published_bound_.store(bound, std::memory_order_release);
+  /// A consumed notice is no longer an event.
+  std::optional<SimTime> fault_stamp(unsigned s) override {
+    if (state_.dead_spes.count(s) != 0) return std::nullopt;
+    const cellsim::Spe::FaultNotice* notice = blade_.spe(s).fault_notice();
+    if (notice == nullptr) return std::nullopt;
+    return notice->stamp;
   }
 
-  /// The conservative safe time: no source can produce an event with a
-  /// stamp below it.
-  SimTime safe_time() {
-    SimTime safe = kForever;
-    // Local SPEs (requests arrive through their mailboxes).
-    for (unsigned s = 0; s < blade_.spe_count(); ++s) {
-      safe = std::min(safe, spe_bound(s));
-    }
+  std::optional<mpisim::Envelope> probe(mpisim::Rank source,
+                                        int tag) override {
+    return mpi_.iprobe(source, tag);
+  }
+
+  SimTime remote_bound() override {
+    SimTime bound = kForever;
     // User ranks (channel data, shutdown).
     mpisim::World& world = app_.cluster().world();
     for (int r = 0; r < app_.cluster().user_rank_count(); ++r) {
-      safe = std::min(safe, world.send_bound(r));
+      bound = std::min(bound, world.send_bound(r));
     }
     // Peer Co-Pilots (type-5 relays), via their published bounds.
     for (int n = 0; n < app_.cluster().node_count(); ++n) {
       if (n == node_ || !app_.cluster().is_cell_node(n)) continue;
-      safe = std::min(safe, app_.cluster().copilot_bound(n).load(
-                                std::memory_order_acquire));
+      bound = std::min(bound, app_.cluster().copilot_bound(n).load(
+                                  std::memory_order_acquire));
     }
-    return safe;
+    return bound;
   }
 
-  /// The earliest available event, if any.
-  std::optional<Candidate> pick_candidate() {
-    std::optional<Candidate> best;
-    auto consider = [&best](Candidate c) {
-      if (!best || c.before(*best)) best = c;
-    };
-    for (std::size_t i = 0; i < state_.ready.size(); ++i) {
-      consider({state_.ready[i].stamp, Candidate::kRequest, i, -1,
-                state_.ready[i].spe});
-    }
-    int last_channel = -1;
-    for (const auto& [channel, p] : state_.reads) {
-      if (channel == last_channel) continue;  // only the FIFO head pairs
-      last_channel = channel;
-      if (p.expected_source == mpisim::kAnySource) continue;  // type 4
-      if (auto env = mpi_.iprobe(p.expected_source, p.tag)) {
-        consider({env->arrival, Candidate::kMpiData, 0, channel, p.spe});
-      }
-    }
-    if (auto env = mpi_.iprobe(mpisim::kAnySource, pilot::kTagShutdown)) {
-      // Shutdown is deferred while a respawned occupant is still running.
-      // PI_StopMain's rank barrier only proves the *originally launched*
-      // SPE threads have retired; a supervised respawn registered after
-      // the owner's join sweep may still be executing, and exiting now
-      // would leave its requests unserved — a teardown hang.  The message
-      // stays queued and is consumed once no respawned occupant is alive.
-      if (!respawn_in_progress()) {
-        consider({env->arrival, Candidate::kShutdown, 0, -1, 0});
-      }
-    }
-    for (unsigned s = 0; s < blade_.spe_count(); ++s) {
-      if (state_.dead_spes.count(s) != 0) continue;
-      if (const auto* notice = blade_.spe(s).fault_notice()) {
-        consider({notice->stamp, Candidate::kSpeFault, 0, -1, s});
-      }
-    }
-    return best;
+  void publish_bound(SimTime bound) override {
+    published_bound_.store(bound, std::memory_order_release);
   }
 
-  static SpeRequest decode(const std::uint32_t words[kAsyncRequestWords]) {
-    SpeRequest r;
-    r.opcode = unpack_opcode(words[0]);
-    r.channel = unpack_channel(words[0]);
-    r.ls_addr = words[1];
-    r.length = words[2];
-    r.signature = words[3];
-    if (words_for(r.opcode) == kAsyncRequestWords) r.token = words[4];
-    return r;
-  }
+  bool shutdown_deferred() override { return respawn_in_progress(); }
 
   /// Answers a request: a bare status word for the blocking opcodes, a
   /// packed (status | token) word for the async ones — the requester's
@@ -635,7 +491,7 @@ class CopilotService {
     // The dead incarnation's queued and parked requests die with it: the
     // new occupant re-issues everything from its program start.  Sync
     // parked ops had reported themselves blocked; retract those reports.
-    std::erase_if(state_.ready,
+    std::erase_if(state_.queue.ready,
                   [&](const ReadyRequest& r) { return r.spe == dead_slot; });
     sweep_parked([&](int, const Pending& p) { return p.spe == dead_slot; });
     record_parked_gauge();
@@ -984,8 +840,8 @@ class CopilotService {
         blade_.spe(slot).shutdown();
       }
       sweep_parked([](int, const Pending&) { return true; });
-      state_.assembly.assign(blade_.spe_count(), Assembly{});
-      state_.ready.clear();
+      state_.queue.assembly.assign(blade_.spe_count(), Assembly{});
+      state_.queue.ready.clear();
       crashed_ = true;
       crash_stamp_ = loss.stamp;
       loss.state = std::move(state_);
@@ -1003,7 +859,7 @@ class CopilotService {
       // those have been drained, while later-stamped arrivals depend on
       // host scheduling and would make the raw queue size nondeterministic.
       std::int64_t backlog = 0;
-      for (const ReadyRequest& r : state_.ready) {
+      for (const ReadyRequest& r : state_.queue.ready) {
         if (r.stamp <= ready.stamp) ++backlog;
       }
       simtime::timeseries::record(simtime::timeseries::Kind::kMailboxDepth,

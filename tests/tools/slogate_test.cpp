@@ -200,7 +200,11 @@ TEST(SloGate, DegradedP99GatedWhenBothRunsCaptureIt) {
 class SlogateBinary : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "slogate_test/";
+    // Per-test directory: a parallel ctest runs each test in its own
+    // process, and both write baselines and out.txt here.
+    dir_ = ::testing::TempDir() + "slogate_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "/";
     std::system(("mkdir -p " + dir_).c_str());
   }
 
