@@ -21,9 +21,6 @@
 // the OpRegistry below: immutable fields are copied at registration and
 // the mutable state/status fields are atomics, so a mid-run snapshot is
 // race-free without a lock on the hot path.
-//
-// This file is compiled into the *pilot* library (like core/router) so the
-// PI_* implementation can execute it; the core layer links below it.
 #pragma once
 
 #include <atomic>

@@ -468,8 +468,8 @@ class CopilotService final : private Sources {
     if (budget <= 0 || pid < 0) return false;
     RespawnState& rs = state_.respawns[pid];
     if (rs.attempts >= budget) return false;
-    const auto seed = app_.respawn_seed(pid);
-    if (!seed || seed->program == nullptr) return false;
+    const auto recipe = app_.launch_recipe(pid);
+    if (!recipe || recipe->program == nullptr) return false;
     unsigned flat = 0;
     try {
       // The faulted context is never pooled again, so this picks a
@@ -498,7 +498,7 @@ class CopilotService final : private Sources {
 
     // Relaunch no earlier than the Co-Pilot's post-backoff clock.
     const std::string proc_name = app_.process(pid).name;
-    const SimTime start = reincarnate(pid, flat, *seed,
+    const SimTime start = reincarnate(pid, flat, *recipe,
                                       &trace::ChannelCounters::add_respawn);
     cellsim::Spe& spe = blade_.spe(flat);
     supervision::g_respawns.fetch_add(1);
@@ -536,7 +536,7 @@ class CopilotService final : private Sources {
   /// caller's per-channel counter, bumped on every channel `pid` touches.
   /// Returns the new occupant's start stamp.
   SimTime reincarnate(int pid, unsigned flat,
-                      const pilot::PilotApp::RespawnSeed& seed,
+                      const pilot::PilotApp::LaunchRecipe& recipe,
                       void (trace::ChannelCounters::*count)(int)) {
     Journal& j = state_.journal[pid];
     for (int c = 0; c < app_.channel_count(); ++c) {
@@ -571,57 +571,13 @@ class CopilotService final : private Sources {
     for (const auto& [c, ops] : j.writes) rs.write_cursor[c] = ops.size();
     for (const auto& [c, ops] : j.reads) rs.read_cursor[c] = ops.size();
 
-    const SimTime start = relaunch(pid, flat, seed);
+    // Relaunch no earlier than the Co-Pilot's clock.  The caller leaves
+    // the respawn or restore records; the launch itself leaves none.
+    const SimTime start =
+        std::max(clock().now(), blade_.spe(flat).clock().now());
+    launch_spe(app_, node_, flat, pid, recipe, start);
     rs.flat = flat;
     rs.alive = true;
-    return start;
-  }
-
-  /// Launches process `pid`'s registered program into pooled context
-  /// `flat` — the shared relaunch recipe of supervised respawn and blade
-  /// restore.  Returns the new occupant's start stamp (no earlier than the
-  /// Co-Pilot's clock).  The thread wrapper mirrors PI_RunSPE's: a clean
-  /// exit releases the slot, a hardware fault leaves a notice for the
-  /// ladder, anything else aborts the world.
-  SimTime relaunch(int pid, unsigned flat,
-                   const pilot::PilotApp::RespawnSeed& seed) {
-    app_.bind_spe_process(node_, flat, pid);
-    cellsim::Spe& spe = blade_.spe(flat);
-    mpisim::World* world = &app_.cluster().world();
-    auto launch = std::make_unique<SpeLaunchArgs>();
-    launch->app = &app_;
-    launch->process_id = pid;
-    launch->arg = seed.arg;
-    launch->ptr = seed.ptr;
-    const SimTime start = std::max(clock().now(), spe.clock().now());
-    const std::string proc_name = app_.process(pid).name;
-    pilot::PilotApp* app = &app_;
-    std::thread t([app, &spe, program = seed.program,
-                   launch = std::move(launch), node = node_, flat, start,
-                   world, proc_name] {
-      spe.clock().join(start);
-      bool faulted = false;
-      try {
-        cellsim::spe2::SpeContext sctx(spe);
-        sctx.run(*program, cellsim::ea_of(launch.get()), 0);
-      } catch (const mpisim::WorldAborted&) {
-        // Job torn down elsewhere.
-      } catch (const cellsim::HardwareFault& f) {
-        // A respawned occupant can die too: leave the notice and let the
-        // ladder decide again (respawn while budget lasts, then degrade).
-        if (!world->aborted()) {
-          faulted = true;
-          spe.raise_fault(f.fault_code(), spe.clock().now(),
-                          "SPE process " + proc_name + ": " + f.what());
-        }
-      } catch (const std::exception& e) {
-        if (!world->aborted()) {
-          world->abort("SPE process " + proc_name + " failed: " + e.what());
-        }
-      }
-      if (!faulted) app->release_spe(node, flat);
-    });
-    app_.add_spe_thread(seed.owner, std::move(t));
     return start;
   }
 
@@ -1175,8 +1131,8 @@ class CopilotService final : private Sources {
   /// — exactly-once across the cut.  Returns false (degrade) when no
   /// launch recipe exists or the SPE pool is exhausted.
   bool restore_one(int pid, SimTime death) {
-    const auto seed = app_.respawn_seed(pid);
-    if (!seed || seed->program == nullptr) return false;
+    const auto recipe = app_.launch_recipe(pid);
+    if (!recipe || recipe->program == nullptr) return false;
     unsigned flat = 0;
     try {
       // Skip slots whose mailboxes the kill closed: a victim that finished
@@ -1193,7 +1149,7 @@ class CopilotService final : private Sources {
     }
     clock().advance(cost_.copilot_service);
 
-    const SimTime start = reincarnate(pid, flat, *seed,
+    const SimTime start = reincarnate(pid, flat, *recipe,
                                       &trace::ChannelCounters::add_restore);
     cellsim::Spe& spe = blade_.spe(flat);
     supervision::g_restores.fetch_add(1);

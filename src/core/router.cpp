@@ -1,5 +1,5 @@
-// Route compilation (see router.hpp).  Compiled into the pilot library so
-// the Pilot API implementation and the CellPilot core share one data plane.
+// Route compilation (see router.hpp).  The Pilot API implementation and
+// the CellPilot core share this one data plane.
 #include "core/router.hpp"
 
 #include "core/metrics.hpp"
@@ -108,7 +108,6 @@ Route compile_route(pilot::PilotApp& app, const PI_CHANNEL& ch) {
   rt.tag = ch.tag();
   rt.writer_is_spe = from.location == pilot::Location::kSpe;
   rt.reader_is_spe = to.location == pilot::Location::kSpe;
-  rt.needs_transport = rt.writer_is_spe || rt.reader_is_spe;
   rt.writer_big_endian = cl.byte_order(from_node) == simtime::ByteOrder::kBig;
 
   if (!rt.writer_is_spe) {

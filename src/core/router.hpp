@@ -28,8 +28,7 @@
 //
 // Layering note: this header is data-plane vocabulary shared by the Pilot
 // API implementation and the CellPilot core; it depends only on the pilot/
-// value types (tables, format, wire) and is compiled into the pilot
-// library (see src/pilot/CMakeLists.txt) so both layers can link it.
+// value types (tables, format, wire).
 #pragma once
 
 #include <atomic>
@@ -143,8 +142,6 @@ struct Route {
 
   bool writer_is_spe = false;
   bool reader_is_spe = false;
-  /// Any SPE endpoint requires the CellPilot transport to be active.
-  bool needs_transport = false;
   /// Payloads leave the writer in its node's architectural order; readers
   /// convert when this is set ("receiver makes right").
   bool writer_big_endian = false;

@@ -10,7 +10,6 @@
 #include "core/copilot.hpp"
 #include "core/epoch.hpp"
 #include "core/obs.hpp"
-#include "core/transport.hpp"
 #include "mpisim/launcher.hpp"
 #include "pilot/context.hpp"
 #include "pilot/deadlock.hpp"
@@ -39,8 +38,6 @@ RunResult run(cluster::Cluster& machine, const MainFunc& user_main,
   obs::begin_job();
 
   pilot::PilotApp app(machine);
-  CellTransportImpl transport;
-  app.set_transport(&transport);
 
   // Channel epochs restart at zero with each job: an epoch is a writer
   // incarnation *within* a job, and a stale floor left over from a previous

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <thread>
 #include <vector>
 
+#include "cellsim/errors.hpp"
+#include "cellsim/libspe2.hpp"
 #include "cellsim/spe.hpp"
 #include "cellsim/spu.hpp"
 #include "core/faultplan.hpp"
@@ -238,8 +242,7 @@ void harvest_settled(PI_OP& op, const PI_CHANNEL& ch,
 
 }  // namespace
 
-void spe_channel_write(pilot::PilotApp& /*app*/, const PI_CHANNEL& ch,
-                       std::uint32_t sig,
+void spe_channel_write(const PI_CHANNEL& ch, std::uint32_t sig,
                        std::span<const std::byte> payload) {
   auto& engine = completion::Engine::local();
   if (engine.inflight() > 0) {
@@ -279,8 +282,8 @@ void spe_channel_write(pilot::PilotApp& /*app*/, const PI_CHANNEL& ch,
   }
 }
 
-void spe_channel_read(pilot::PilotApp& /*app*/, const PI_CHANNEL& ch,
-                      std::uint32_t sig, std::span<std::byte> out) {
+void spe_channel_read(const PI_CHANNEL& ch, std::uint32_t sig,
+                      std::span<std::byte> out) {
   auto& engine = completion::Engine::local();
   if (engine.inflight() > 0) {
     PI_OP* op = engine.create(completion::Kind::kRead);
@@ -367,6 +370,53 @@ void spe_drain_outstanding() {
     dispatch_completion_word(cellsim::spu::spu_read_in_mbox(),
                              /*lenient=*/true);
   }
+}
+
+void launch_spe(pilot::PilotApp& app, int node, unsigned flat, int process_id,
+                const pilot::PilotApp::LaunchRecipe& recipe,
+                simtime::SimTime start, RetireHook on_retire) {
+  app.bind_spe_process(node, flat, process_id);
+  app.set_launch_recipe(process_id, recipe);
+  cellsim::Spe& spe = app.cluster().spe(node, flat);
+  mpisim::World& world = app.cluster().world();
+  auto launch = std::make_unique<SpeLaunchArgs>(
+      SpeLaunchArgs{&app, process_id, recipe.arg, recipe.ptr});
+  std::thread t([&app, &spe, &world, program = recipe.program,
+                 launch = std::move(launch), node, flat, process_id, start,
+                 on_retire, name = app.process(process_id).name] {
+    spe.clock().join(start);
+    bool faulted = false;
+    try {
+      cellsim::spe2::SpeContext sctx(spe);
+      sctx.run(*program, cellsim::ea_of(launch.get()), 0);
+    } catch (const mpisim::WorldAborted&) {
+      // Job torn down elsewhere.
+    } catch (const cellsim::HardwareFault& f) {
+      // A hardware fault is survivable: leave a posthumous notice for the
+      // Co-Pilot, which respawns the process or converts the death into
+      // PI_SPE_FAULT completions at every peer instead of tearing the job
+      // down.  (During an abort the closed mailboxes throw MailboxFault in
+      // parked SPEs — that is teardown, not a new death.)
+      if (!world.aborted()) {
+        faulted = true;
+        spe.raise_fault(f.fault_code(), spe.clock().now(),
+                        "SPE process " + name + ": " + f.what());
+      }
+    } catch (const std::exception& e) {
+      if (!world.aborted()) {
+        world.abort("SPE process " + name + " failed: " + e.what());
+      }
+    }
+    // A faulted SPE is never returned to the pool: its slot must stay
+    // bound to the dead process until the Co-Pilot consumes the fault
+    // notice, and a later launch must not inherit a haunted context.
+    // (Real hardware keeps a crashed SPE context out of service too.)
+    if (!faulted) {
+      if (on_retire != nullptr) on_retire(spe, process_id);
+      app.release_spe(node, flat);
+    }
+  });
+  app.add_spe_thread(process_id, std::move(t));
 }
 
 namespace detail {

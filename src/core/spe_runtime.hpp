@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <span>
 
+#include "cellsim/spe.hpp"
 #include "core/completion.hpp"
 #include "pilot/app.hpp"
 #include "pilot/tables.hpp"
@@ -21,14 +22,30 @@
 namespace cellpilot {
 
 /// Arguments ferried to an SPE program through the libspe2 `argp`
-/// mechanism.  Built by PI_RunSPE; consumed by the PI_SPE_PROGRAM
+/// mechanism.  Built by launch_spe; consumed by the PI_SPE_PROGRAM
 /// trampoline.
 struct SpeLaunchArgs {
   pilot::PilotApp* app = nullptr;
   int process_id = -1;  ///< the SPE process being embodied
-  int arg = 0;          ///< user int argument from PI_RunSPE
-  void* ptr = nullptr;  ///< user pointer argument from PI_RunSPE
+  int arg = 0;          ///< user int argument from PI_RunSPE/PI_SpawnSPE
+  void* ptr = nullptr;  ///< user pointer argument from PI_RunSPE/PI_SpawnSPE
 };
+
+/// A launch front-end's records for a clean retirement, run on the worker
+/// thread just before the context returns to the pool.
+using RetireHook = void (*)(cellsim::Spe& spe, int process_id);
+
+/// The one way an SPE program starts — PI_RunSPE, PI_SpawnSPE, supervised
+/// respawn and blade restore all call it with a context they acquired.
+/// Binds pooled context `flat` of `node` to `process_id`, records `recipe`
+/// as the process's launch recipe, and starts the paper's PPE pthread: it
+/// loads the program no earlier than `start` and waits for it.  A clean
+/// exit runs `on_retire` (if any) and frees the context; a hardware fault
+/// leaves a notice for the Co-Pilot and keeps the context out of the pool;
+/// anything else aborts the world.
+void launch_spe(pilot::PilotApp& app, int node, unsigned flat, int process_id,
+                const pilot::PilotApp::LaunchRecipe& recipe,
+                simtime::SimTime start, RetireHook on_retire = nullptr);
 
 namespace detail {
 
@@ -45,12 +62,12 @@ int run_spe_body(std::uint64_t argp, SpeBody body);
 
 /// SPE-side blocking channel write: stage payload in local store, request
 /// the Co-Pilot, await completion.  Throws PilotError on protocol errors.
-void spe_channel_write(pilot::PilotApp& app, const PI_CHANNEL& ch,
-                       std::uint32_t sig, std::span<const std::byte> payload);
+void spe_channel_write(const PI_CHANNEL& ch, std::uint32_t sig,
+                       std::span<const std::byte> payload);
 
 /// SPE-side blocking channel read into `out` (exactly out.size() bytes).
-void spe_channel_read(pilot::PilotApp& app, const PI_CHANNEL& ch,
-                      std::uint32_t sig, std::span<std::byte> out);
+void spe_channel_read(const PI_CHANNEL& ch, std::uint32_t sig,
+                      std::span<std::byte> out);
 
 // --- async tier -----------------------------------------------------------
 //

@@ -1,6 +1,6 @@
 // api.cpp — implementation of the public PI_* API (rank-side paths and
-// dispatch; SPE-side data movement is delegated to the registered
-// CellTransport, implemented by the CellPilot layer in src/core).
+// dispatch; SPE-side data movement calls the SPE runtime,
+// core/spe_runtime.hpp).
 #include "pilot/pilot.hpp"
 
 #include <cstdarg>
@@ -20,6 +20,7 @@
 #include "core/obs.hpp"
 #include "core/protocol.hpp"
 #include "core/router.hpp"
+#include "core/spe_runtime.hpp"
 #include "core/telemetry.hpp"
 #include "core/trace.hpp"
 #include "mpisim/reliable.hpp"
@@ -161,16 +162,6 @@ void note_peer_death(PilotApp& app, const PI_CHANNEL& ch,
   }
 }
 
-CellTransport& transport_or_die(PilotApp& app, const char* file, int line) {
-  if (app.transport() == nullptr) {
-    throw PilotError(ErrorCode::kUsage,
-                     "channel has an SPE endpoint but the CellPilot "
-                     "transport is not active (plain Pilot run?)",
-                     file, line);
-  }
-  return *app.transport();
-}
-
 const std::string& rank_entity(PilotContext& ctx) {
   return ctx.app().cluster().world().info(ctx.rank()).name;
 }
@@ -219,7 +210,6 @@ RankSend rank_send(PilotContext& ctx, const PI_CHANNEL& ch, const char* fmt,
   require_endpoint(ctx.my_process, ch, /*writer=*/true, file, line);
   PilotApp& app = ctx.app();
   cellpilot::Route& rt = route_of(ch, file, line);
-  if (rt.needs_transport) transport_or_die(app, file, line);
   // A reader that already died can never consume this message: fail the
   // write with the peer's recorded failure instead of sending into a void.
   if (auto failure = app.process_failure(ch.to)) {
@@ -297,13 +287,13 @@ void write_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
       swap_element_bytes(plan.parsed, ws.counts, ws.staging);
     }
     const simtime::SimTime begin = cellsim::spu::self().clock().now();
-    // The latency ledger push happens *before* the transport hand-off so
+    // The latency ledger push happens *before* the SPE runtime hand-off so
     // it happens-before any read completion of this message (the reader's
     // pop can otherwise race a type-4/5 writer's host-side return).
     if (simtime::metrics::armed()) {
       cellpilot::metrics::LatencyLedger::global().push(ch->id, begin);
     }
-    sd->app->transport()->spe_write(*ch, sig, ws.staging);
+    cellpilot::spe_channel_write(*ch, sig, ws.staging);
     cellpilot::trace::ChannelCounters::global().add_message(ch->id,
                                                             ws.staging.size());
     if (simtime::tracebuf::armed()) {
@@ -355,7 +345,7 @@ void read_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
         plan.has_star ? signature(rs.plan.fmt) : plan.wire_signature;
     rs.staging.resize(rs.plan.payload_bytes);
     const simtime::SimTime begin = cellsim::spu::self().clock().now();
-    sd->app->transport()->spe_read(*ch, sig, rs.staging);
+    cellpilot::spe_channel_read(*ch, sig, rs.staging);
     const simtime::SimTime end = cellsim::spu::self().clock().now();
     if (simtime::tracebuf::armed()) {
       simtime::tracebuf::record(simtime::tracebuf::Kind::kSpeRead,
@@ -391,7 +381,6 @@ void read_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
   PilotContext& ctx = ctx_in_phase(Phase::kExecution, "PI_Read", file, line);
   require_endpoint(ctx.my_process, *ch, /*writer=*/false, file, line);
   cellpilot::Route& rt = route_of(*ch, file, line);
-  if (rt.needs_transport) transport_or_die(ctx.app(), file, line);
   cellpilot::ReaderState& rs = rt.reader;
   const cellpilot::FormatPlan& plan = rs.formats.lookup(fmt);
   build_read_plan_into(plan.parsed, args, rs.plan);
@@ -570,7 +559,7 @@ void rank_harvest(PilotContext& ctx, PI_OP& op, const char* file,
   engine.release(&op);
 }
 
-/// SPE-side harvest through the transport.  `wait` selects blocking wait
+/// SPE-side harvest through the SPE runtime.  `wait` selects blocking wait
 /// vs. poll; returns false only for a poll that found `op` still in
 /// flight.  Releases `op` whenever it settles (including fault throws).
 bool spe_harvest(SpeDispatch& sd, PI_OP& op, bool wait, const char* file,
@@ -586,9 +575,9 @@ bool spe_harvest(SpeDispatch& sd, PI_OP& op, bool wait, const char* file,
   bool settled = true;
   try {
     if (wait) {
-      sd.app->transport()->spe_wait(op, ch, out);
+      cellpilot::spe_wait_channel_op(op, ch, out);
     } else {
-      settled = sd.app->transport()->spe_test(op, ch, out);
+      settled = cellpilot::spe_test_channel_op(op, ch, out);
     }
   } catch (...) {
     engine.release(&op);
@@ -630,14 +619,14 @@ PI_HANDLE write_async_impl(const char* file, int line, PI_CHANNEL* ch,
     op->file = file;
     op->line = line;
     op->submit_begin = cellsim::spu::self().clock().now();
-    // The ledger push happens before the transport hand-off, exactly like
+    // The ledger push happens before the SPE runtime hand-off, exactly like
     // the blocking write (it must happen-before any read completion).
     if (simtime::metrics::armed()) {
       cellpilot::metrics::LatencyLedger::global().push(ch->id,
                                                        op->submit_begin);
     }
     try {
-      sd->app->transport()->spe_submit_write(*op, *ch, sig, ws.staging);
+      cellpilot::spe_submit_channel_write(*op, *ch, sig, ws.staging);
     } catch (...) {
       engine.release(op);
       throw;
@@ -694,8 +683,8 @@ PI_HANDLE read_async_impl(const char* file, int line, PI_CHANNEL* ch,
     op->line = line;
     op->submit_begin = cellsim::spu::self().clock().now();
     try {
-      sd->app->transport()->spe_submit_read(*op, *ch, sig,
-                                            op->plan.payload_bytes);
+      cellpilot::spe_submit_channel_read(*op, *ch, sig,
+                                         op->plan.payload_bytes);
     } catch (...) {
       engine.release(op);
       throw;
@@ -711,7 +700,6 @@ PI_HANDLE read_async_impl(const char* file, int line, PI_CHANNEL* ch,
       ctx_in_phase(Phase::kExecution, "PI_ReadAsync", file, line);
   require_endpoint(ctx.my_process, *ch, /*writer=*/false, file, line);
   cellpilot::Route& rt = route_of(*ch, file, line);
-  if (rt.needs_transport) transport_or_die(ctx.app(), file, line);
   const cellpilot::FormatPlan& plan = rt.reader.formats.lookup(fmt);
   PI_OP* op = engine.create(cp::Kind::kRead);
   build_read_plan_into(plan.parsed, args, op->plan);
@@ -1194,7 +1182,6 @@ void PI_Broadcast_(const char* file, int line, PI_BUNDLE* b, const char* fmt,
   charge_rank_call(ctx, framed.size() - sizeof(WireHeader));
   for (PI_CHANNEL* ch : b->channels) {
     cellpilot::Route& rt = route_of(*ch, file, line);
-    if (rt.needs_transport) transport_or_die(ctx.app(), file, line);
     // Per-leg header stamp: each channel carries its own epoch (a rank
     // writer's is always 0, but the wire stays self-describing).
     const std::uint32_t epoch = cellpilot::epochs::current(ch->id);
@@ -1357,7 +1344,7 @@ int PI_WaitAny_(const char* file, int line, PI_HANDLE* handles, int count) {
   }
 
   if (SpeDispatch* sd = spe_dispatch()) {
-    const int i = sd->app->transport()->spe_wait_any(handles, count);
+    const int i = cellpilot::spe_wait_any_channel_op(handles, count);
     spe_harvest(*sd, *handles[i], /*wait=*/true, file, line);
     return i;
   }

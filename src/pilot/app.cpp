@@ -145,52 +145,6 @@ void PilotApp::user_barrier(mpisim::Mpi& mpi) {
   }
 }
 
-void PilotApp::add_spe_thread(mpisim::Rank rank, std::thread t) {
-  std::lock_guard lock(spe_mu_);
-  spe_threads_.push_back(OwnedThread{rank, std::move(t)});
-}
-
-void PilotApp::join_spe_threads(mpisim::Rank rank) {
-  // Joining is a host-thread wait, not an MPI receive, so it bypasses the
-  // reliable layer's receive-side flush points.  An SPE this rank is about
-  // to join may itself be blocked on a frame sitting in this rank's
-  // msg_reorder stash — release it before parking.
-  if (mpisim::reliable::enabled()) mpisim::reliable::flush_from(rank);
-  // Collect joinable threads owned by `rank` without holding the lock while
-  // joining (an SPE body may itself trigger bookkeeping).
-  std::vector<std::thread> mine;
-  {
-    std::lock_guard lock(spe_mu_);
-    for (auto& owned : spe_threads_) {
-      if (owned.owner == rank && owned.thread.joinable()) {
-        mine.push_back(std::move(owned.thread));
-      }
-    }
-    for (auto& [pid, spawn] : spawns_) {
-      if (spawn.owner == rank && spawn.thread.joinable()) {
-        mine.push_back(std::move(spawn.thread));
-      }
-    }
-  }
-  cluster_->world().set_passive(rank, true);
-  for (auto& t : mine) t.join();
-  cluster_->world().set_passive(rank, false);
-}
-
-void PilotApp::join_all_spe_threads() {
-  std::vector<std::thread> all;
-  {
-    std::lock_guard lock(spe_mu_);
-    for (auto& owned : spe_threads_) {
-      if (owned.thread.joinable()) all.push_back(std::move(owned.thread));
-    }
-    for (auto& [pid, spawn] : spawns_) {
-      if (spawn.thread.joinable()) all.push_back(std::move(spawn.thread));
-    }
-  }
-  for (auto& t : all) t.join();
-}
-
 unsigned PilotApp::acquire_spe(int node) {
   std::lock_guard lock(spe_mu_);
   auto& busy = spe_busy_[static_cast<std::size_t>(node)];
@@ -237,22 +191,6 @@ int PilotApp::spe_process(int node, unsigned flat_index) {
   return spe_process_[static_cast<std::size_t>(node)][flat_index];
 }
 
-void PilotApp::join_spawn(mpisim::Rank rank, int process_id) {
-  // Same protocol as join_spe_threads: release any frame the retiring SPE
-  // may be waiting on, then park this rank passively while joining.
-  std::thread previous;
-  {
-    std::lock_guard lock(spe_mu_);
-    const auto it = spawns_.find(process_id);
-    if (it == spawns_.end() || !it->second.thread.joinable()) return;
-    previous = std::move(it->second.thread);
-  }
-  if (mpisim::reliable::enabled()) mpisim::reliable::flush_from(rank);
-  cluster_->world().set_passive(rank, true);
-  previous.join();
-  cluster_->world().set_passive(rank, false);
-}
-
 unsigned PilotApp::acquire_spe_preferring(int node, unsigned preferred) {
   {
     std::lock_guard lock(spe_mu_);
@@ -265,21 +203,73 @@ unsigned PilotApp::acquire_spe_preferring(int node, unsigned preferred) {
   return acquire_spe(node);
 }
 
-void PilotApp::register_spawn(int process_id, mpisim::Rank owner,
-                              unsigned flat_index, std::thread t) {
+void PilotApp::set_launch_recipe(int process_id, LaunchRecipe recipe) {
   std::lock_guard lock(spe_mu_);
-  SpawnRecord& rec = spawns_[process_id];
-  rec.owner = owner;
-  rec.flat = flat_index;
-  rec.has_flat = true;
-  rec.thread = std::move(t);
+  launches_[process_id].recipe = recipe;
+}
+
+std::optional<PilotApp::LaunchRecipe> PilotApp::launch_recipe(
+    int process_id) {
+  std::lock_guard lock(spe_mu_);
+  const auto it = launches_.find(process_id);
+  if (it == launches_.end()) return std::nullopt;
+  return it->second.recipe;
+}
+
+void PilotApp::add_spe_thread(int process_id, std::thread t) {
+  std::lock_guard lock(spe_mu_);
+  launches_[process_id].threads.push_back(std::move(t));
+}
+
+std::vector<std::thread> PilotApp::take_spe_threads(int process_id,
+                                                    mpisim::Rank owner) {
+  // Joined without the lock held: an SPE body may itself need it.
+  std::vector<std::thread> taken;
+  std::lock_guard lock(spe_mu_);
+  for (auto& [pid, launch] : launches_) {
+    if (process_id >= 0 && pid != process_id) continue;
+    if (owner >= 0 && launch.recipe.owner != owner) continue;
+    for (std::thread& t : launch.threads) taken.push_back(std::move(t));
+    launch.threads.clear();
+  }
+  return taken;
+}
+
+void PilotApp::join_passive(mpisim::Rank rank,
+                            std::vector<std::thread> threads) {
+  // Joining is a host-thread wait, not an MPI receive, so it bypasses the
+  // reliable layer's receive-side flush points.  An SPE this rank is about
+  // to join may itself be blocked on a frame sitting in this rank's
+  // msg_reorder stash — release it before parking.
+  if (mpisim::reliable::enabled()) mpisim::reliable::flush_from(rank);
+  cluster_->world().set_passive(rank, true);
+  for (auto& t : threads) t.join();
+  cluster_->world().set_passive(rank, false);
+}
+
+void PilotApp::join_spe_threads(mpisim::Rank rank) {
+  join_passive(rank, take_spe_threads(-1, rank));
+}
+
+void PilotApp::join_all_spe_threads() {
+  for (auto& t : take_spe_threads(-1, -1)) t.join();
+}
+
+void PilotApp::join_spawn(mpisim::Rank rank, int process_id) {
+  std::vector<std::thread> previous = take_spe_threads(process_id, -1);
+  if (!previous.empty()) join_passive(rank, std::move(previous));
+}
+
+void PilotApp::set_last_spawn_flat(int process_id, unsigned flat_index) {
+  std::lock_guard lock(spe_mu_);
+  launches_[process_id].last_spawn_flat = flat_index;
 }
 
 std::optional<unsigned> PilotApp::last_spawn_flat(int process_id) {
   std::lock_guard lock(spe_mu_);
-  const auto it = spawns_.find(process_id);
-  if (it == spawns_.end() || !it->second.has_flat) return std::nullopt;
-  return it->second.flat;
+  const auto it = launches_.find(process_id);
+  if (it == launches_.end()) return std::nullopt;
+  return it->second.last_spawn_flat;
 }
 
 void PilotApp::report_process_failure(int process_id,
@@ -293,19 +283,6 @@ std::optional<PilotApp::ProcessFailure> PilotApp::process_failure(
   std::lock_guard lock(failures_mu_);
   const auto it = failures_.find(process_id);
   if (it == failures_.end()) return std::nullopt;
-  return it->second;
-}
-
-void PilotApp::register_respawn_seed(int process_id, RespawnSeed seed) {
-  std::lock_guard lock(seeds_mu_);
-  seeds_[process_id] = seed;  // latest launch recipe wins
-}
-
-std::optional<PilotApp::RespawnSeed> PilotApp::respawn_seed(
-    int process_id) const {
-  std::lock_guard lock(seeds_mu_);
-  const auto it = seeds_.find(process_id);
-  if (it == seeds_.end()) return std::nullopt;
   return it->second;
 }
 

@@ -1,10 +1,9 @@
 // app.hpp — per-application shared state.
 //
-// One PilotApp exists per simulated job (per pilot::run / cellpilot::run
-// invocation).  It owns the canonical process/channel/bundle tables that all
-// rank threads share, the options parsed by PI_Configure, the hook through
-// which the CellPilot layer provides SPE transports, and the bookkeeping for
-// SPE threads spawned by PI_RunSPE.
+// One PilotApp exists per simulated job (per cellpilot::run invocation).  It
+// owns the canonical process/channel/bundle tables that all rank threads
+// share, the options parsed by PI_Configure, the SPE pool, and one launch
+// record per SPE process (its recipe and its PPE worker threads).
 #pragma once
 
 #include <atomic>
@@ -13,7 +12,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,11 +26,7 @@ namespace cellpilot {
 class Router;  // compiled data plane (core/router.hpp)
 }  // namespace cellpilot
 
-struct PI_OP;  // async operation (core/completion.hpp)
-
 namespace pilot {
-
-class PilotContext;
 
 /// Reserved control tags used by the Pilot runtime.
 inline constexpr int kTagShutdown = mpisim::kReservedTagBase + 64;
@@ -75,59 +69,6 @@ struct Options {
   int checkpoint_interval = 64;
 };
 
-/// Transport hooks for channels with at least one SPE endpoint.  Implemented
-/// by the CellPilot layer (src/core); null in plain-Pilot applications, in
-/// which case touching an SPE channel is a usage error.
-class CellTransport {
- public:
-  virtual ~CellTransport() = default;
-
-  /// SPE-side write on any channel leaving an SPE (types 2..5).
-  virtual void spe_write(const PI_CHANNEL& ch, std::uint32_t sig,
-                         std::span<const std::byte> payload) = 0;
-
-  /// SPE-side read on any channel entering an SPE (types 2..5).  Fills
-  /// `out` with exactly out.size() payload bytes.
-  virtual void spe_read(const PI_CHANNEL& ch, std::uint32_t sig,
-                        std::span<std::byte> out) = 0;
-
-  /// Launches an SPE process (PI_RunSPE); called on the parent rank.
-  virtual void run_spe(PilotContext& ctx, PI_PROCESS& proc, int arg,
-                       void* ptr) = 0;
-
-  // --- async tier (SPE-side operations; see core/completion.hpp) ----------
-
-  /// Stages and submits an async SPE-side write; `op` is in flight on
-  /// return (token assigned, local-store staging parked).
-  virtual void spe_submit_write(PI_OP& op, const PI_CHANNEL& ch,
-                                std::uint32_t sig,
-                                std::span<const std::byte> payload) = 0;
-
-  /// Submits an async SPE-side read for `bytes` payload bytes.
-  virtual void spe_submit_read(PI_OP& op, const PI_CHANNEL& ch,
-                               std::uint32_t sig, std::size_t bytes) = 0;
-
-  /// Blocks until `op` settles, then harvests (fills `out` for reads,
-  /// frees the staging, throws the recorded fault).
-  virtual void spe_wait(PI_OP& op, const PI_CHANNEL& ch,
-                        std::span<std::byte> out) = 0;
-
-  /// Non-blocking spe_wait: false while `op` is still in flight.
-  virtual bool spe_test(PI_OP& op, const PI_CHANNEL& ch,
-                        std::span<std::byte> out) = 0;
-
-  /// Blocks until one of `ops[0..n-1]` settles; returns its index without
-  /// harvesting it.
-  virtual int spe_wait_any(PI_OP* const* ops, int n) = 0;
-
-  /// Runtime SPE spawning (PI_SpawnSPE): binds `program` to `proc` at
-  /// execution time and launches it, reusing the process's previous SPE
-  /// context when it is free (pooled contexts).
-  virtual void spawn_spe(PilotContext& ctx, PI_PROCESS& proc,
-                         const cellsim::spe2::spe_program_handle_t& program,
-                         int arg, void* ptr) = 0;
-};
-
 /// Shared state of one Pilot application run.
 class PilotApp {
  public:
@@ -142,10 +83,6 @@ class PilotApp {
 
   /// Options; written once by PI_Configure (same values on every rank).
   Options& options() { return options_; }
-
-  /// The CellPilot transport, or null for plain Pilot runs.
-  CellTransport* transport() const { return transport_; }
-  void set_transport(CellTransport* t) { transport_ = t; }
 
   // --- canonical tables (get-or-create; see tables.hpp) -------------------
 
@@ -187,19 +124,7 @@ class PilotApp {
   /// used at PI_StartAll and PI_StopMain.
   void user_barrier(mpisim::Mpi& mpi);
 
-  // --- SPE thread bookkeeping (PI_RunSPE) ---------------------------------
-
-  /// Registers a running SPE thread owned by `rank`.
-  void add_spe_thread(mpisim::Rank rank, std::thread t);
-
-  /// Joins all SPE threads spawned by `rank` (PI_StopMain / PI_StartAll
-  /// epilogue on the owning rank).  Marks the rank passive for the
-  /// duration: it cannot send while joining, and the Co-Pilot's
-  /// conservative event ordering must not stall behind its frozen clock.
-  void join_spe_threads(mpisim::Rank rank);
-
-  /// Joins every remaining SPE thread (teardown safety net).
-  void join_all_spe_threads();
+  // --- SPE pool ------------------------------------------------------------
 
   /// Picks a free physical SPE on `node` and marks it busy; returns its
   /// flat index.  Throws PilotError(kCapacity) when all are busy.
@@ -218,54 +143,66 @@ class PilotApp {
   /// computation sees upcoming SPEs).
   bool spe_assigned(int node, unsigned flat_index);
 
-  /// Records which Pilot process runs on a physical SPE (set by PI_RunSPE
-  /// before the worker thread starts; the Co-Pilot uses it to name the
-  /// process when the SPE faults).
+  /// Records which Pilot process runs on a physical SPE (set by every
+  /// launch before the worker thread starts; the Co-Pilot uses it to name
+  /// the process when the SPE faults).
   void bind_spe_process(int node, unsigned flat_index, int process_id);
 
   /// The Pilot process id bound to a physical SPE, or -1.
   int spe_process(int node, unsigned flat_index);
 
-  // --- runtime SPE spawning (PI_SpawnSPE) ---------------------------------
-  //
-  // A spawned process may be relaunched with a different program once its
-  // previous run retires; the bookkeeping below keeps one live thread per
-  // spawned process plus the context it last occupied, so the pool can
-  // hand the same physical SPE back (sticky contexts).
-
-  /// Joins the previous occupant thread of a spawned process, if any.
-  /// Same passive/flush protocol as join_spe_threads.
-  void join_spawn(mpisim::Rank rank, int process_id);
-
   /// Like acquire_spe, but takes `preferred` when it is free.
   unsigned acquire_spe_preferring(int node, unsigned preferred);
 
-  /// Records the running thread + context of a spawned process (joined by
-  /// join_spawn on respawn, or by the join_spe_threads epilogues).
-  void register_spawn(int process_id, mpisim::Rank owner, unsigned flat_index,
-                      std::thread t);
+  // --- SPE launch records --------------------------------------------------
+  //
+  // One record per SPE process, kept by every launch (PI_RunSPE,
+  // PI_SpawnSPE, supervised respawn, blade restore): the recipe the launch
+  // used, the PPE worker threads it started, and the context its last
+  // PI_SpawnSPE occupied.
 
-  /// The physical SPE the process last ran on, if it was ever spawned.
-  std::optional<unsigned> last_spawn_flat(int process_id);
-
-  // --- supervised respawn (self-healing) ----------------------------------
-
-  /// Everything Co-Pilot supervision needs to relaunch a faulted process's
-  /// program into a fresh pooled context: registered by PI_RunSPE /
-  /// PI_SpawnSPE at launch time (latest bind wins), consulted only when a
-  /// fault arrives with `-pirespawn` armed.
-  struct RespawnSeed {
+  /// How to (re)launch a process's program.  Co-Pilot supervision replays
+  /// it into a fresh pooled context when `-pirespawn` or a checkpoint
+  /// restore relaunches a lost process.
+  struct LaunchRecipe {
     const cellsim::spe2::spe_program_handle_t* program = nullptr;
     int arg = 0;
     void* ptr = nullptr;
-    mpisim::Rank owner = -1;  ///< parent rank (owns the worker thread)
+    mpisim::Rank owner = -1;  ///< parent rank (joins the worker threads)
   };
 
-  /// Records (or refreshes) the seed for a process.
-  void register_respawn_seed(int process_id, RespawnSeed seed);
+  /// Records the recipe of a launch of `process_id` (latest launch wins).
+  /// Called before the worker thread starts, so a fault at the program's
+  /// first request already finds it.
+  void set_launch_recipe(int process_id, LaunchRecipe recipe);
 
-  /// The seed last registered for a process, if any.
-  std::optional<RespawnSeed> respawn_seed(int process_id) const;
+  /// The recipe of the process's latest launch, if it was ever launched.
+  std::optional<LaunchRecipe> launch_recipe(int process_id);
+
+  /// Files a running worker thread under the process it embodies.
+  void add_spe_thread(int process_id, std::thread t);
+
+  /// Joins every worker thread of the processes `rank` owns (PI_StopMain /
+  /// PI_StartAll epilogue on the owning rank).  Marks the rank passive for
+  /// the duration: it cannot send while joining, and the Co-Pilot's
+  /// conservative event ordering must not stall behind its frozen clock.
+  void join_spe_threads(mpisim::Rank rank);
+
+  /// Joins every remaining worker thread (teardown safety net).
+  void join_all_spe_threads();
+
+  /// Joins every earlier occupant of one process before PI_SpawnSPE
+  /// relaunches it, a supervised respawn's included.  Same passive/flush
+  /// protocol as join_spe_threads; returns at once when none is left.
+  void join_spawn(mpisim::Rank rank, int process_id);
+
+  /// Records the context a PI_SpawnSPE of the process occupies.  Only
+  /// PI_SpawnSPE sets it: the next spawn prefers that context (sticky
+  /// contexts), and SPE names appear in trace entities.
+  void set_last_spawn_flat(int process_id, unsigned flat_index);
+
+  /// The context the process's last PI_SpawnSPE occupied, if any.
+  std::optional<unsigned> last_spawn_flat(int process_id);
 
   // --- process failure registry (Co-Pilot fault propagation) --------------
 
@@ -287,7 +224,6 @@ class PilotApp {
  private:
   cluster::Cluster* cluster_;
   Options options_;
-  CellTransport* transport_ = nullptr;
   std::unique_ptr<cellpilot::Router> router_;
   std::once_flag routes_once_;
 
@@ -298,27 +234,25 @@ class PilotApp {
   std::map<int, std::vector<PI_CHANNEL*>> channel_arrays_;
   int ranks_assigned_ = 0;  // PI_MAIN's creation at PI_Configure takes rank 0
 
-  std::mutex spe_mu_;
-  struct OwnedThread {
-    mpisim::Rank owner;
-    std::thread thread;
-  };
-  std::vector<OwnedThread> spe_threads_;
+  /// Moves out the worker threads of process `process_id` (-1: every
+  /// process) owned by `owner` (-1: any owner).
+  std::vector<std::thread> take_spe_threads(int process_id,
+                                            mpisim::Rank owner);
+  /// Joins `threads` with `rank` flushed and parked passive.
+  void join_passive(mpisim::Rank rank, std::vector<std::thread> threads);
+
+  std::mutex spe_mu_;  // guards the pool and the launch records
   std::vector<std::vector<bool>> spe_busy_;  // [node][flat_index]
   std::vector<std::vector<int>> spe_process_;  // [node][flat_index] or -1
-  struct SpawnRecord {
-    mpisim::Rank owner = -1;
-    unsigned flat = 0;
-    bool has_flat = false;
-    std::thread thread;
+  struct SpeLaunch {
+    LaunchRecipe recipe;
+    std::vector<std::thread> threads;
+    std::optional<unsigned> last_spawn_flat;
   };
-  std::map<int, SpawnRecord> spawns_;  // process id -> last/live spawn
+  std::map<int, SpeLaunch> launches_;  // process id -> launch record
 
   mutable std::mutex failures_mu_;
   std::map<int, ProcessFailure> failures_;  // process id -> epitaph
-
-  mutable std::mutex seeds_mu_;
-  std::map<int, RespawnSeed> seeds_;  // process id -> launch recipe
 };
 
 }  // namespace pilot

@@ -73,8 +73,8 @@ struct ProcessExit {
 };
 
 /// Dispatch record for threads executing *SPE* programs: set thread-locally
-/// by the CellPilot runtime so the PI_* API can route SPE-side calls
-/// through the registered CellTransport.
+/// by the CellPilot runtime so the PI_* API sends SPE-side calls straight
+/// to the SPE runtime (core/spe_runtime.hpp).
 struct SpeDispatch {
   PilotApp* app = nullptr;
   int process_id = -1;  ///< the SPE process this thread embodies

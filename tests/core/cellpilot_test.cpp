@@ -261,38 +261,58 @@ TEST(CellPilot, AllSpesBusyIsACapacityError) {
 // --- misuse diagnostics ----------------------------------------------------------
 
 TEST(CellPilot, CreateSpeOnXeonParentIsRejected) {
-  cluster::ClusterConfig config;
-  config.nodes.push_back(cluster::NodeSpec::cell(1));
-  config.nodes.push_back(cluster::NodeSpec::xeon(1));
-  cluster::Cluster machine(std::move(config));
-  const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
-    PI_Configure(&argc, &argv);
-    PI_PROCESS* xeon = PI_CreateProcess([](int, void*) { return 0; }, 0,
-                                        nullptr);
-    PI_CreateSPE(count_run, xeon, 0);
-    PI_StartAll();
-    PI_StopMain(0);
-    return 0;
-  });
-  EXPECT_TRUE(r.aborted);
-  EXPECT_NE(r.abort_reason.find("non-Cell"), std::string::npos);
+  // PI_CreateSPE and PI_CreateSPESlot share the parent checks.
+  for (const bool slot : {false, true}) {
+    cluster::ClusterConfig config;
+    config.nodes.push_back(cluster::NodeSpec::cell(1));
+    config.nodes.push_back(cluster::NodeSpec::xeon(1));
+    cluster::Cluster machine(std::move(config));
+    const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
+      PI_Configure(&argc, &argv);
+      PI_PROCESS* xeon = PI_CreateProcess([](int, void*) { return 0; }, 0,
+                                          nullptr);
+      if (slot) {
+        PI_CreateSPESlot(xeon, 0);
+      } else {
+        PI_CreateSPE(count_run, xeon, 0);
+      }
+      PI_StartAll();
+      PI_StopMain(0);
+      return 0;
+    });
+    EXPECT_TRUE(r.aborted) << slot;
+    EXPECT_NE(r.abort_reason.find("non-Cell"), std::string::npos)
+        << r.abort_reason;
+  }
 }
 
 int foreign_parent(int /*index*/, void* /*arg*/) { return 0; }
 
 TEST(CellPilot, OnlyTheParentMayRunAnSpe) {
-  cluster::Cluster machine = two_cells();
-  const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
-    PI_Configure(&argc, &argv);
-    PI_PROCESS* other = PI_CreateProcess(foreign_parent, 0, nullptr);
-    PI_PROCESS* spe = PI_CreateSPE(count_run, other, 0);
-    PI_StartAll();
-    PI_RunSPE(spe, 0, nullptr);  // we are PI_MAIN, not the parent
-    PI_StopMain(0);
-    return 0;
-  });
-  EXPECT_TRUE(r.aborted);
-  EXPECT_NE(r.abort_reason.find("parent"), std::string::npos);
+  // PI_RunSPE and PI_SpawnSPE share the parent check.
+  for (const bool spawn : {false, true}) {
+    cluster::Cluster machine = two_cells();
+    const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
+      PI_Configure(&argc, &argv);
+      PI_PROCESS* other = PI_CreateProcess(foreign_parent, 0, nullptr);
+      PI_PROCESS* spe = PI_CreateSPE(count_run, other, 0);
+      PI_StartAll();
+      // We are PI_MAIN, not the parent.
+      if (spawn) {
+        PI_SpawnSPE(spe, &count_run, 0, nullptr);
+      } else {
+        PI_RunSPE(spe, 0, nullptr);
+      }
+      PI_StopMain(0);
+      return 0;
+    });
+    EXPECT_TRUE(r.aborted) << spawn;
+    EXPECT_NE(r.abort_reason.find(spawn ? "PI_SpawnSPE" : "PI_RunSPE"),
+              std::string::npos)
+        << r.abort_reason;
+    EXPECT_NE(r.abort_reason.find("parent"), std::string::npos)
+        << r.abort_reason;
+  }
 }
 
 TEST(CellPilot, RunSpeOnRankProcessIsRejected) {

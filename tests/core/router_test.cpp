@@ -73,12 +73,13 @@ TEST(Router, CompilesGoldenRoutesForAllFiveTypes) {
       }
     }
 
-    // Type 1: direct rank->rank leg, no transport, no Co-Pilot.
+    // Type 1: direct rank->rank leg, no SPE endpoint, no Co-Pilot.
     {
       const Route& rt = *t1->route;
       EXPECT_EQ(rt.type, ChannelType::kType1);
       EXPECT_EQ(rt.tag, t1->tag());
-      EXPECT_FALSE(rt.needs_transport);
+      EXPECT_FALSE(rt.writer_is_spe);
+      EXPECT_FALSE(rt.reader_is_spe);
       EXPECT_EQ(rt.write_dest, xeon->rank);
       EXPECT_EQ(rt.read_source, main_rank);
       EXPECT_EQ(rt.copilot_write, CopilotWriteAction::kNone);
@@ -90,7 +91,6 @@ TEST(Router, CompilesGoldenRoutesForAllFiveTypes) {
     {
       const Route& rt = *t2->route;
       EXPECT_EQ(rt.type, ChannelType::kType2);
-      EXPECT_TRUE(rt.needs_transport);
       EXPECT_FALSE(rt.writer_is_spe);
       EXPECT_TRUE(rt.reader_is_spe);
       EXPECT_EQ(rt.write_dest, cl.copilot_rank(0));

@@ -13,11 +13,16 @@
 //    events and a spawn_latency metric per launch;
 //  * a slot whose occupant faulted is poisoned — respawning it is a usage
 //    error, not a haunted context;
+//  * a spawn waits for every earlier occupant of the slot, one that Co-Pilot
+//    supervision respawned included;
 //  * the usual phase/typing misuses are caught as PI_USAGE errors.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/cellpilot.hpp"
@@ -38,6 +43,8 @@ using pilot::PilotError;
 
 PI_CHANNEL* g_out = nullptr;
 std::atomic<int> g_value{0};
+std::atomic<bool> g_retired{false};
+std::atomic<int> g_saw_retired{-1};
 
 cluster::Cluster one_cell() {
   cluster::ClusterConfig config;
@@ -50,6 +57,8 @@ class SpawnTest : public ::testing::Test {
   void SetUp() override {
     g_out = nullptr;
     g_value.store(0);
+    g_retired.store(false);
+    g_saw_retired.store(-1);
   }
   ~SpawnTest() override { FaultPlan::global().reset(); }
 };
@@ -66,6 +75,21 @@ PI_SPE_PROGRAM(second_occupant) {
 
 PI_SPE_PROGRAM(crashing_occupant) {
   PI_Write(g_out, "%d", 1);  // the fault plan kills the SPE at this request
+  return 0;
+}
+
+PI_SPE_PROGRAM(slow_occupant) {
+  PI_Write(g_out, "%d", 1);  // the fault plan kills the first incarnation
+  // Host time, not virtual time: a spawn that does not wait for this
+  // occupant starts its successor long before the flag is set.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  g_retired.store(true);
+  return 0;
+}
+
+PI_SPE_PROGRAM(successor) {
+  g_saw_retired.store(g_retired.load() ? 1 : 0);
+  PI_Write(g_out, "%d", 2);
   return 0;
 }
 
@@ -177,8 +201,42 @@ TEST_F(SpawnTest, AFaultedOccupantPoisonsTheSlot) {
       << respawn_detail;
 }
 
+TEST_F(SpawnTest, SpawnWaitsForARespawnedOccupant) {
+  cluster::Cluster machine = one_cell();
+  cellpilot::RunOptions opts;
+  opts.args = {"-pirespawn=1",
+               "-pifault=spe_crash_mid@node0.cell0.spe0:op=1"};
+  int v1 = 0;
+  int v2 = 0;
+  const auto r = cellpilot::run(
+      machine,
+      [&](int argc, char** argv) {
+        PI_Configure(&argc, &argv);
+        PI_PROCESS* slot = PI_CreateSPESlot(PI_MAIN, 0);
+        g_out = PI_CreateChannel(slot, PI_MAIN);
+        PI_StartAll();
+        PI_SpawnSPE(slot, &slow_occupant, 0, nullptr);
+        // Delivered by the respawned incarnation on another context.
+        PI_Read(g_out, "%d", &v1);
+        PI_SpawnSPE(slot, &successor, 0, nullptr);
+        PI_Read(g_out, "%d", &v2);
+        PI_StopMain(0);
+        return 0;
+      },
+      opts);
+  ASSERT_FALSE(r.aborted) << r.abort_reason;
+  ASSERT_TRUE(r.errors.empty()) << r.errors.front();
+  EXPECT_EQ(v1, 1);
+  EXPECT_EQ(v2, 2);
+  EXPECT_EQ(g_saw_retired.load(), 1)
+      << "PI_SpawnSPE started the successor before the respawned occupant "
+         "retired";
+}
+
 TEST_F(SpawnTest, MisusesAreCaughtAsUsageErrors) {
   cluster::Cluster machine = one_cell();
+  // Code and detail of each configuration-phase misuse ({-1, ""}: none).
+  std::vector<std::pair<int, std::string>> early(4, {-1, ""});
   int late_slot_code = -1;
   int rank_target_code = -1;
   int null_program_code = -1;
@@ -186,6 +244,19 @@ TEST_F(SpawnTest, MisusesAreCaughtAsUsageErrors) {
     PI_Configure(&argc, &argv);
     PI_PROCESS* slot = PI_CreateSPESlot(PI_MAIN, 0);
     g_out = PI_CreateChannel(slot, PI_MAIN);
+    const auto catch_usage = [&](std::size_t i, const auto& call) {
+      try {
+        call();
+      } catch (const PilotError& e) {
+        early[i] = {static_cast<int>(e.code()), e.detail()};
+      }
+    };
+    // Launches before the execution phase.
+    catch_usage(0, [&] { PI_RunSPE(slot, 0, nullptr); });
+    catch_usage(1, [&] { PI_SpawnSPE(slot, &first_occupant, 0, nullptr); });
+    // An SPE process cannot parent another one.
+    catch_usage(2, [&] { (void)PI_CreateSPESlot(slot, 1); });
+    catch_usage(3, [&] { (void)PI_CreateSPE(first_occupant, slot, 1); });
     PI_StartAll();
     try {
       (void)PI_CreateSPESlot(PI_MAIN, 1);  // configuration phase is over
@@ -212,6 +283,14 @@ TEST_F(SpawnTest, MisusesAreCaughtAsUsageErrors) {
   });
   ASSERT_FALSE(r.aborted) << r.abort_reason;
   ASSERT_TRUE(r.errors.empty()) << r.errors.front();
+  const char* const early_detail[] = {
+      "outside the execution phase", "outside the execution phase",
+      "not another SPE process", "not another SPE process"};
+  for (std::size_t i = 0; i < early.size(); ++i) {
+    EXPECT_EQ(early[i].first, static_cast<int>(ErrorCode::kUsage)) << i;
+    EXPECT_NE(early[i].second.find(early_detail[i]), std::string::npos)
+        << i << ": " << early[i].second;
+  }
   EXPECT_EQ(late_slot_code, static_cast<int>(ErrorCode::kUsage));
   EXPECT_EQ(rank_target_code, static_cast<int>(ErrorCode::kUsage));
   EXPECT_EQ(null_program_code, static_cast<int>(ErrorCode::kUsage));
