@@ -137,6 +137,13 @@ void PI_RunSPE(PI_PROCESS* spe_process, int arg, void* ptr) {
                      "PI_RunSPE: SPE process has no program");
   }
   PilotApp& app = ctx.app();
+  // A second launch would put two threads on the process's one route
+  // state; the process may run again once its last occupant has exited.
+  if (app.launch_running(proc.id)) {
+    throw PilotError(ErrorCode::kUsage,
+                     "PI_RunSPE(" + proc.name +
+                         "): the process is still running on an SPE");
+  }
   const unsigned flat = app.acquire_spe(proc.node);
   // The SPE starts no earlier (in virtual time) than its parent's launch.
   const simtime::SimTime stamp = ctx.mpi().clock().now();

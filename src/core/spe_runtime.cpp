@@ -376,7 +376,7 @@ void launch_spe(pilot::PilotApp& app, int node, unsigned flat, int process_id,
                 const pilot::PilotApp::LaunchRecipe& recipe,
                 simtime::SimTime start, RetireHook on_retire) {
   app.bind_spe_process(node, flat, process_id);
-  app.set_launch_recipe(process_id, recipe);
+  app.begin_launch(process_id, recipe);
   cellsim::Spe& spe = app.cluster().spe(node, flat);
   mpisim::World& world = app.cluster().world();
   auto launch = std::make_unique<SpeLaunchArgs>(
@@ -415,6 +415,7 @@ void launch_spe(pilot::PilotApp& app, int node, unsigned flat, int process_id,
       if (on_retire != nullptr) on_retire(spe, process_id);
       app.release_spe(node, flat);
     }
+    app.end_launch(process_id);
   });
   app.add_spe_thread(process_id, std::move(t));
 }

@@ -2,90 +2,127 @@
 
 namespace mpisim {
 
-namespace {
-constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-}  // namespace
-
 void MatchQueue::deposit(InboundMessage msg) {
   std::lock_guard lock(mu_);
   if (aborted_) return;  // job is dying; drop silently
-  fifo_.push_back(std::move(msg));
+  Lane* target = exact_lane(msg.source, msg.tag);
+  if (target == nullptr) {
+    std::unique_ptr<Lane>& slot = lanes_[key(msg.source, msg.tag)];
+    slot = std::make_unique<Lane>(Lane{msg.source, msg.tag, 0, {}});
+    target = slot.get();
+    by_tag_[msg.tag].push_back(target);
+  }
+  target->fifo.push_back({next_seq_++, std::move(msg)});
+  ++pending_;
   arrived_.notify_all();
 }
 
-std::size_t MatchQueue::find(Rank source, int tag) const {
-  for (std::size_t i = 0; i < fifo_.size(); ++i) {
-    if (matches(fifo_[i], source, tag)) return i;
+MatchQueue::Lane* MatchQueue::exact_lane(Rank source, int tag) const {
+  const auto it = lanes_.find(key(source, tag));
+  return it == lanes_.end() ? nullptr : it->second.get();
+}
+
+MatchQueue::Lane* MatchQueue::find(Rank source, int tag) const {
+  if (source != kAnySource && tag != kAnyTag) {
+    Lane* exact = exact_lane(source, tag);
+    return exact == nullptr || exact->empty() ? nullptr : exact;
   }
-  return kNpos;
+  Lane* best = nullptr;
+  auto consider = [&](Lane* candidate) {
+    if (candidate->empty()) return;
+    if (best == nullptr || candidate->front().seq < best->front().seq) {
+      best = candidate;
+    }
+  };
+  if (source == kAnySource && tag != kAnyTag) {
+    const auto it = by_tag_.find(tag);
+    if (it != by_tag_.end()) {
+      for (Lane* candidate : it->second) consider(candidate);
+    }
+    return best;
+  }
+  for (const auto& entry : lanes_) {
+    Lane* candidate = entry.second.get();
+    if (source == kAnySource || candidate->source == source) {
+      consider(candidate);
+    }
+  }
+  return best;
+}
+
+InboundMessage MatchQueue::pop(Lane& lane) {
+  InboundMessage msg = std::move(lane.fifo[lane.head++].msg);
+  if (lane.empty()) {
+    lane.fifo.clear();
+    lane.head = 0;
+  } else if (lane.head >= 64 && 2 * lane.head >= lane.fifo.size()) {
+    // A lane that never drains: drop the consumed prefix, amortised O(1).
+    lane.fifo.erase(lane.fifo.begin(),
+                    lane.fifo.begin() + static_cast<std::ptrdiff_t>(lane.head));
+    lane.head = 0;
+  }
+  --pending_;
+  return msg;
 }
 
 InboundMessage MatchQueue::match_blocking(Rank source, int tag) {
   std::unique_lock lock(mu_);
-  std::size_t idx = kNpos;
+  Lane* lane = nullptr;
   wait_flagged(lock, [&] {
     if (aborted_) return true;
-    idx = find(source, tag);
-    return idx != kNpos;
+    lane = find(source, tag);
+    return lane != nullptr;
   });
   if (aborted_) throw WorldAborted(abort_reason_);
-  InboundMessage msg = std::move(fifo_[idx]);
-  fifo_.erase(fifo_.begin() + static_cast<std::ptrdiff_t>(idx));
-  return msg;
+  return pop(*lane);
 }
 
 std::optional<InboundMessage> MatchQueue::try_match(Rank source, int tag) {
   std::lock_guard lock(mu_);
   if (aborted_) throw WorldAborted(abort_reason_);
-  const std::size_t idx = find(source, tag);
-  if (idx == kNpos) return std::nullopt;
-  InboundMessage msg = std::move(fifo_[idx]);
-  fifo_.erase(fifo_.begin() + static_cast<std::ptrdiff_t>(idx));
-  return msg;
+  Lane* lane = find(source, tag);
+  if (lane == nullptr) return std::nullopt;
+  return pop(*lane);
 }
 
 std::optional<Envelope> MatchQueue::probe(Rank source, int tag) const {
   std::lock_guard lock(mu_);
   if (aborted_) throw WorldAborted(abort_reason_);
-  const std::size_t idx = find(source, tag);
-  if (idx == kNpos) return std::nullopt;
-  const InboundMessage& m = fifo_[idx];
-  return Envelope{m.source, m.tag, m.payload.size(), m.arrival};
+  const Lane* lane = find(source, tag);
+  if (lane == nullptr) return std::nullopt;
+  return envelope(lane->front().msg);
 }
 
 Envelope MatchQueue::probe_blocking(Rank source, int tag) {
   std::unique_lock lock(mu_);
-  std::size_t idx = kNpos;
+  const Lane* lane = nullptr;
   wait_flagged(lock, [&] {
     if (aborted_) return true;
-    idx = find(source, tag);
-    return idx != kNpos;
+    lane = find(source, tag);
+    return lane != nullptr;
   });
   if (aborted_) throw WorldAborted(abort_reason_);
-  const InboundMessage& m = fifo_[idx];
-  return Envelope{m.source, m.tag, m.payload.size(), m.arrival};
+  return envelope(lane->front().msg);
 }
 
 std::pair<std::size_t, Envelope> MatchQueue::probe_any_blocking(
     std::span<const Pattern> patterns) {
   std::unique_lock lock(mu_);
   std::size_t hit_pattern = 0;
-  std::size_t hit_msg = kNpos;
+  const Lane* hit = nullptr;
   wait_flagged(lock, [&] {
     if (aborted_) return true;
     for (std::size_t p = 0; p < patterns.size(); ++p) {
-      const std::size_t idx = find(patterns[p].source, patterns[p].tag);
-      if (idx != kNpos) {
+      hit = find(patterns[p].source, patterns[p].tag);
+      if (hit != nullptr) {
         hit_pattern = p;
-        hit_msg = idx;
         return true;
       }
     }
     return false;
   });
   if (aborted_) throw WorldAborted(abort_reason_);
-  const InboundMessage& m = fifo_[hit_msg];
-  return {hit_pattern, Envelope{m.source, m.tag, m.payload.size(), m.arrival}};
+  return {hit_pattern, envelope(hit->front().msg)};
 }
 
 std::optional<std::pair<std::size_t, Envelope>> MatchQueue::try_probe_any(
@@ -93,10 +130,8 @@ std::optional<std::pair<std::size_t, Envelope>> MatchQueue::try_probe_any(
   std::lock_guard lock(mu_);
   if (aborted_) throw WorldAborted(abort_reason_);
   for (std::size_t p = 0; p < patterns.size(); ++p) {
-    const std::size_t idx = find(patterns[p].source, patterns[p].tag);
-    if (idx != kNpos) {
-      const InboundMessage& m = fifo_[idx];
-      return {{p, Envelope{m.source, m.tag, m.payload.size(), m.arrival}}};
+    if (const Lane* lane = find(patterns[p].source, patterns[p].tag)) {
+      return {{p, envelope(lane->front().msg)}};
     }
   }
   return std::nullopt;
@@ -104,7 +139,7 @@ std::optional<std::pair<std::size_t, Envelope>> MatchQueue::try_probe_any(
 
 std::size_t MatchQueue::pending() const {
   std::lock_guard lock(mu_);
-  return fifo_.size();
+  return pending_;
 }
 
 void MatchQueue::abort(const std::string& reason) {

@@ -4,15 +4,23 @@
 // (eager protocol); receivers match on (source, tag) with wildcard support,
 // honouring MPI's non-overtaking rule: among messages from the same source
 // with a matching tag, the earliest deposited wins.
+//
+// Messages sit in one FIFO lane per (source, tag), stamped with a per-queue
+// deposit sequence number.  An exact match is the head of one lane; a
+// wildcard match is the lowest-sequence head among the matching lanes, which
+// is the earliest deposited matching message — the same answer a single
+// queue scanned front to back gives, at a cost independent of queue depth.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -31,8 +39,10 @@ struct InboundMessage {
   simtime::SimTime arrival = simtime::kSimTimeZero;
 };
 
-/// The receive side of one rank.
-class MatchQueue {
+/// The receive side of one rank.  Cache-line aligned, so that the mutex
+/// and the fields every operation touches share one line and no neighbour
+/// shares it.
+class alignas(64) MatchQueue {
  public:
   /// Deposits a message (called from the sender's thread).
   void deposit(InboundMessage msg);
@@ -81,12 +91,40 @@ class MatchQueue {
   bool waiting() const { return waiting_.load(std::memory_order_acquire); }
 
  private:
-  bool matches(const InboundMessage& m, Rank source, int tag) const {
-    return (source == kAnySource || m.source == source) &&
-           (tag == kAnyTag || m.tag == tag);
+  /// The queued messages of one (source, tag) pair, oldest first:
+  /// fifo[head..] are queued.  Lanes are never erased, and a lane keeps
+  /// its buffer when it drains, so a warm lane takes and hands out messages
+  /// without allocating.
+  struct Lane {
+    struct Entry {
+      std::uint64_t seq;  ///< deposit order across the whole queue
+      InboundMessage msg;
+    };
+    Rank source;
+    int tag;
+    std::size_t head = 0;
+    std::vector<Entry> fifo;
+
+    bool empty() const { return head == fifo.size(); }
+    const Entry& front() const { return fifo[head]; }
+  };
+
+  static std::uint64_t key(Rank source, int tag) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(source))
+            << 32) |
+           static_cast<std::uint32_t>(tag);
   }
-  // Index of first match in fifo_, or npos.
-  std::size_t find(Rank source, int tag) const;
+  static Envelope envelope(const InboundMessage& m) {
+    return Envelope{m.source, m.tag, m.payload.size(), m.arrival};
+  }
+  /// The lane of an exact (source, tag), or nullptr if none was ever
+  /// deposited.  Caller holds mu_.
+  Lane* exact_lane(Rank source, int tag) const;
+  /// The lane whose head is the earliest queued message matching
+  /// (source, tag), or nullptr.  Caller holds mu_.
+  Lane* find(Rank source, int tag) const;
+  /// Removes and returns the head of a non-empty lane.  Caller holds mu_.
+  InboundMessage pop(Lane& lane);
 
   /// Waits on arrived_ with the waiting_ flag raised while asleep.
   template <typename Pred>
@@ -99,8 +137,11 @@ class MatchQueue {
   }
 
   mutable std::mutex mu_;
+  std::uint64_t next_seq_ = 0;
+  std::size_t pending_ = 0;
   std::condition_variable arrived_;
-  std::deque<InboundMessage> fifo_;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Lane>> lanes_;
+  std::unordered_map<int, std::vector<Lane*>> by_tag_;  // (kAnySource, tag)
   std::atomic<bool> waiting_{false};
   bool aborted_ = false;
   std::string abort_reason_;

@@ -1,5 +1,6 @@
 #include "mpisim/reliable.hpp"
 
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <map>
@@ -29,6 +30,20 @@ std::atomic<std::uint64_t> g_stale{0};
 // Epoch the next send on this thread will stamp (armed by the dispatch
 // site that knows the channel, consumed by the send).
 thread_local std::uint32_t t_send_epoch = 0;
+
+// kCrcTable[i] is the CRC register after shifting the byte i through the
+// bitwise loop: eight steps of the reflected polynomial 0xEDB88320.
+constexpr std::array<std::uint32_t, 256> kCrcTable = [] {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+    table[i] = crc;
+  }
+  return table;
+}();
 
 }  // namespace
 
@@ -220,13 +235,12 @@ void flush_link_locked(Registry& reg, Link& link, Rank from, Rank to) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> data) {
-  // Bitwise CRC-32/ISO-HDLC (the Ethernet/zip polynomial, reflected).
+  // CRC-32/ISO-HDLC (the Ethernet/zip polynomial, reflected), one table
+  // lookup per byte.
   std::uint32_t crc = 0xFFFFFFFFu;
   for (const std::byte b : data) {
-    crc ^= static_cast<std::uint32_t>(std::to_integer<unsigned char>(b));
-    for (int k = 0; k < 8; ++k) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-    }
+    crc = kCrcTable[(crc ^ std::to_integer<std::uint32_t>(b)) & 0xFFu] ^
+          (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

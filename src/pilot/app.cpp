@@ -203,9 +203,22 @@ unsigned PilotApp::acquire_spe_preferring(int node, unsigned preferred) {
   return acquire_spe(node);
 }
 
-void PilotApp::set_launch_recipe(int process_id, LaunchRecipe recipe) {
+void PilotApp::begin_launch(int process_id, LaunchRecipe recipe) {
   std::lock_guard lock(spe_mu_);
-  launches_[process_id].recipe = recipe;
+  SpeLaunch& launch = launches_[process_id];
+  launch.recipe = recipe;
+  ++launch.running;
+}
+
+void PilotApp::end_launch(int process_id) {
+  std::lock_guard lock(spe_mu_);
+  --launches_[process_id].running;
+}
+
+bool PilotApp::launch_running(int process_id) {
+  std::lock_guard lock(spe_mu_);
+  const auto it = launches_.find(process_id);
+  return it != launches_.end() && it->second.running > 0;
 }
 
 std::optional<PilotApp::LaunchRecipe> PilotApp::launch_recipe(

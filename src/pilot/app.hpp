@@ -158,8 +158,8 @@ class PilotApp {
   //
   // One record per SPE process, kept by every launch (PI_RunSPE,
   // PI_SpawnSPE, supervised respawn, blade restore): the recipe the launch
-  // used, the PPE worker threads it started, and the context its last
-  // PI_SpawnSPE occupied.
+  // used, the PPE worker threads it started, how many of them are still
+  // running, and the context its last PI_SpawnSPE occupied.
 
   /// How to (re)launch a process's program.  Co-Pilot supervision replays
   /// it into a fresh pooled context when `-pirespawn` or a checkpoint
@@ -171,10 +171,17 @@ class PilotApp {
     mpisim::Rank owner = -1;  ///< parent rank (joins the worker threads)
   };
 
-  /// Records the recipe of a launch of `process_id` (latest launch wins).
-  /// Called before the worker thread starts, so a fault at the program's
-  /// first request already finds it.
-  void set_launch_recipe(int process_id, LaunchRecipe recipe);
+  /// Records a launch of `process_id`: its recipe (latest launch wins) and
+  /// one more running occupant.  Called before the worker thread starts,
+  /// so a fault at the program's first request already finds the recipe.
+  void begin_launch(int process_id, LaunchRecipe recipe);
+
+  /// Called by a worker thread as its last step, on every exit path
+  /// (retired, faulted or torn down): one running occupant fewer.
+  void end_launch(int process_id);
+
+  /// Whether an occupant of the process has started and not yet exited.
+  bool launch_running(int process_id);
 
   /// The recipe of the process's latest launch, if it was ever launched.
   std::optional<LaunchRecipe> launch_recipe(int process_id);
@@ -248,6 +255,7 @@ class PilotApp {
     LaunchRecipe recipe;
     std::vector<std::thread> threads;
     std::optional<unsigned> last_spawn_flat;
+    int running = 0;  ///< occupants begun and not yet ended
   };
   std::map<int, SpeLaunch> launches_;  // process id -> launch record
 

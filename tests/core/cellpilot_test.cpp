@@ -216,12 +216,14 @@ TEST(CellPilot, SpeProcessesCanRunRepeatedlyReusingHardware) {
   g_runs.store(0);
   const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
     PI_Configure(&argc, &argv);
-    PI_PROCESS* spe = PI_CreateSPE(count_run, PI_MAIN, 0);
+    PI_PROCESS* spes[8];
+    for (int i = 0; i < 8; ++i) spes[i] = PI_CreateSPE(count_run, PI_MAIN, i);
     PI_StartAll();
     for (int round = 0; round < 40; ++round) {
-      PI_RunSPE(spe, round, nullptr);
-      // Let the whole fleet drain every 8 launches so acquire never
-      // exhausts the 16 physical SPEs.
+      PI_RunSPE(spes[round % 8], round, nullptr);
+      // Let the whole fleet retire every 8 launches: a process runs again
+      // only once its last run is over, and acquire never exhausts the 16
+      // physical SPEs.
       if (round % 8 == 7) {
         pilot::context().app().join_spe_threads(0);
       }
@@ -233,9 +235,11 @@ TEST(CellPilot, SpeProcessesCanRunRepeatedlyReusingHardware) {
   EXPECT_EQ(g_runs.load(), 40);
 }
 
+PI_CHANNEL* g_hold[3];
+
 PI_SPE_PROGRAM(hold_spe) {
   int v = 0;
-  PI_Read(g_down, "%d", &v);  // parked until released
+  PI_Read(g_hold[arg1], "%d", &v);  // parked until released
   return 0;
 }
 
@@ -245,17 +249,20 @@ TEST(CellPilot, AllSpesBusyIsACapacityError) {
   cluster::Cluster machine(std::move(config));  // 2 SPEs on the blade
   const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
     PI_Configure(&argc, &argv);
-    PI_PROCESS* spe = PI_CreateSPE(hold_spe, PI_MAIN, 0);
-    g_down = PI_CreateChannel(PI_MAIN, spe);
+    PI_PROCESS* spes[3];
+    for (int i = 0; i < 3; ++i) {
+      spes[i] = PI_CreateSPE(hold_spe, PI_MAIN, i);
+      g_hold[i] = PI_CreateChannel(PI_MAIN, spes[i]);
+    }
     PI_StartAll();
-    PI_RunSPE(spe, 0, nullptr);
-    PI_RunSPE(spe, 1, nullptr);
-    PI_RunSPE(spe, 2, nullptr);  // third launch: no SPE free
+    PI_RunSPE(spes[0], 0, nullptr);
+    PI_RunSPE(spes[1], 1, nullptr);
+    PI_RunSPE(spes[2], 2, nullptr);  // third launch: no SPE free
     PI_StopMain(0);
     return 0;
   });
   EXPECT_TRUE(r.aborted);
-  EXPECT_NE(r.abort_reason.find("busy"), std::string::npos);
+  EXPECT_NE(r.abort_reason.find("busy"), std::string::npos) << r.abort_reason;
 }
 
 // --- misuse diagnostics ----------------------------------------------------------
@@ -316,17 +323,31 @@ TEST(CellPilot, OnlyTheParentMayRunAnSpe) {
 }
 
 TEST(CellPilot, RunSpeOnRankProcessIsRejected) {
-  cluster::Cluster machine = two_cells();
-  const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
-    PI_Configure(&argc, &argv);
-    PI_PROCESS* worker = PI_CreateProcess(foreign_parent, 0, nullptr);
-    PI_StartAll();
-    PI_RunSPE(worker, 0, nullptr);
-    PI_StopMain(0);
-    return 0;
-  });
-  EXPECT_TRUE(r.aborted);
-  EXPECT_NE(r.abort_reason.find("not an SPE process"), std::string::npos);
+  // PI_RunSPE also rejects a second launch of an SPE process that is still
+  // running: both threads would share the process's one route state.
+  for (const bool twice : {false, true}) {
+    cluster::Cluster machine = two_cells();
+    const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
+      PI_Configure(&argc, &argv);
+      PI_PROCESS* worker = PI_CreateProcess(foreign_parent, 0, nullptr);
+      PI_PROCESS* spe = PI_CreateSPE(hold_spe, PI_MAIN, 0);
+      g_hold[0] = PI_CreateChannel(PI_MAIN, spe);
+      PI_StartAll();
+      if (twice) {
+        PI_RunSPE(spe, 0, nullptr);
+        PI_RunSPE(spe, 0, nullptr);  // the first run is parked in PI_Read
+      } else {
+        PI_RunSPE(worker, 0, nullptr);
+      }
+      PI_StopMain(0);
+      return 0;
+    });
+    EXPECT_TRUE(r.aborted) << twice;
+    EXPECT_NE(r.abort_reason.find(twice ? "still running"
+                                        : "not an SPE process"),
+              std::string::npos)
+        << r.abort_reason;
+  }
 }
 
 TEST(CellPilot, SpeAsBundleCommonEndpointIsRejected) {

@@ -167,6 +167,15 @@ TEST(MetricsLayer, CapturedJobRecordsEverySeamKind) {
       case sm::Kind::kCopilotService: service += s.hist.count(); break;
       case sm::Kind::kMboxWait: mbox += s.hist.count(); break;
       case sm::Kind::kRetransmitDelay: break;  // clean run: none expected
+      // A clean one-message type-2 run waits on no handle, spawns and
+      // respawns nothing, and neither checkpoints nor restores.
+      case sm::Kind::kHandleWait:
+      case sm::Kind::kSpawnLatency:
+      case sm::Kind::kRespawnLatency:
+      case sm::Kind::kCkptQuiesce:
+      case sm::Kind::kRestoreLatency:
+        ADD_FAILURE() << "unexpected kind " << sm::kind_name(s.key.kind);
+        break;
     }
   }
   EXPECT_EQ(latency, 1u) << "one message end to end";

@@ -25,6 +25,7 @@
 #include "core/copilot.hpp"
 #include "core/faultplan.hpp"
 #include "core/trace.hpp"
+#include "pilot/context.hpp"
 #include "pilot/errors.hpp"
 #include "simtime/metrics.hpp"
 #include "simtime/tracebuf.hpp"
@@ -275,6 +276,46 @@ TEST_F(SpeRespawnTest, RespawnOfARespawnStillDeliversTheBurst) {
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kBurst));
   for (int i = 0; i < kBurst; ++i) EXPECT_EQ(got[i], 10 * i) << "i=" << i;
   EXPECT_EQ(respawn_count(), 2u) << "both deaths must be absorbed";
+  EXPECT_EQ(fault_count(), 0u);
+}
+
+// --- a self-healed process runs again ------------------------------------
+
+TEST_F(SpeRespawnTest, RespawnedProcessRunsAgainOnceItHasExited) {
+  cluster::Cluster machine = one_cell();
+  cellpilot::RunOptions opts;
+  // The faulted context stays bound to the writer after the replacement
+  // retires; a later launch of the writer must still be accepted.
+  opts.args = {"-pirespawn=1",
+               "-pifault=spe_crash_mid@node0.cell0.spe0:op=1"};
+  std::vector<int> got;
+  const auto r = cellpilot::run(
+      machine,
+      [&](int argc, char** argv) {
+        PI_Configure(&argc, &argv);
+        PI_PROCESS* writer = PI_CreateSPE(burst_writer, PI_MAIN, 0);
+        g_ch_main = PI_CreateChannel(writer, PI_MAIN);
+        PI_StartAll();
+        for (int run = 0; run < 2; ++run) {
+          PI_RunSPE(writer, run, nullptr);
+          for (int i = 0; i < kBurst; ++i) {
+            int v = -1;
+            PI_Read(g_ch_main, "%d", &v);
+            got.push_back(v);
+          }
+          pilot::context().app().join_spe_threads(0);
+        }
+        PI_StopMain(0);
+        return 0;
+      },
+      opts);
+  ASSERT_FALSE(r.aborted) << r.abort_reason;
+  ASSERT_TRUE(r.errors.empty()) << r.errors.front();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(2 * kBurst));
+  for (int i = 0; i < 2 * kBurst; ++i) {
+    EXPECT_EQ(got[i], 10 * (i % kBurst)) << "i=" << i;
+  }
+  EXPECT_EQ(respawn_count(), 1u);
   EXPECT_EQ(fault_count(), 0u);
 }
 

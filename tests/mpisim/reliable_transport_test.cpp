@@ -8,6 +8,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,6 +43,36 @@ TEST(ReliableFraming, Crc32KnownAnswer) {
   const std::vector<std::byte> check = bytes_of("123456789");
   EXPECT_EQ(reliable::crc32(check), 0xCBF43926u);
   EXPECT_EQ(reliable::crc32({}), 0u);
+}
+
+/// The bit-at-a-time CRC-32 (reflected 0xEDB88320) the table must match.
+std::uint32_t bitwise_crc32(std::span<const std::byte> data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::byte b : data) {
+    crc ^= std::to_integer<std::uint32_t>(b);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(ReliableFraming, Crc32MatchesBitwiseReference) {
+  // Frames, checkpoint files and journal marks all carry these values, so
+  // every length and alignment must agree with the bitwise definition.
+  std::mt19937_64 rng(20110913);
+  std::vector<std::byte> buf(4096 + 8);
+  for (std::byte& b : buf) b = static_cast<std::byte>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096;
+         len += (len < 64 ? 1 : 1 + len / 8)) {
+      const std::span<const std::byte> view(buf.data() + offset, len);
+      ASSERT_EQ(reliable::crc32(view), bitwise_crc32(view))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  const std::span<const std::byte> whole(buf.data(), 4096);
+  EXPECT_EQ(reliable::crc32(whole), bitwise_crc32(whole));
 }
 
 TEST(ReliableFraming, FrameRoundTrip) {

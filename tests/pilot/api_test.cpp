@@ -366,12 +366,20 @@ TEST(PilotApi, BundleNeedsCommonEndpoint) {
   EXPECT_NE(r.abort_reason.find("common"), std::string::npos);
 }
 
+PI_CHANNEL* g_select_up = nullptr;
+
+int select_writer(int /*index*/, void* /*arg*/) {
+  PI_Write(g_select_up, "%d", 1);
+  return 0;
+}
+
 TEST(PilotApi, BundleUsageIsEnforced) {
   cluster::Cluster machine = xeon_cluster(2);
   const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
     PI_Configure(&argc, &argv);
-    PI_PROCESS* w = PI_CreateProcess(echo_worker, 0, nullptr);
-    PI_CHANNEL* chans[1] = {PI_CreateChannel(w, PI_MAIN)};
+    PI_PROCESS* w = PI_CreateProcess(select_writer, 0, nullptr);
+    g_select_up = PI_CreateChannel(w, PI_MAIN);
+    PI_CHANNEL* chans[1] = {g_select_up};
     PI_BUNDLE* select_bundle = PI_CreateBundle(PI_SELECT, chans, 1);
     PI_StartAll();
     PI_Gather(select_bundle, "%d", nullptr);  // wrong usage
@@ -379,6 +387,8 @@ TEST(PilotApi, BundleUsageIsEnforced) {
     return 0;
   });
   EXPECT_TRUE(r.aborted);
+  EXPECT_NE(r.abort_reason.find("different usage"), std::string::npos)
+      << r.abort_reason;
 }
 
 int noop_worker(int /*index*/, void* /*arg*/) { return 0; }
