@@ -1,7 +1,6 @@
 #include "baseline/handcoded.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -41,18 +40,14 @@ class AlignedBuffer {
   void* ptr_;
 };
 
-/// PPE-side poll of an SPE outbound mailbox: spins (in real time) until a
+/// PPE-side poll of an SPE outbound mailbox: waits (in real time) until a
 /// word arrives, charging the MMIO read and joining the sender's stamp.
 std::uint32_t ppe_poll(cellsim::Mailbox& mb, VirtualClock& clk,
                        const CostModel& cost) {
-  for (;;) {
-    if (auto e = mb.try_pop()) {
-      clk.join(e->stamp);
-      clk.advance(cost.mbox_ppe_read);
-      return e->value;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(10));
-  }
+  const cellsim::MailboxEntry e = mb.pop_blocking();
+  clk.join(e.stamp);
+  clk.advance(cost.mbox_ppe_read);
+  return e.value;
 }
 
 /// PPE-side write of an SPE inbound mailbox.

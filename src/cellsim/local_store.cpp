@@ -1,28 +1,47 @@
 #include "cellsim/local_store.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 namespace cellsim {
 
-LocalStore::LocalStore() : data_(kLocalStoreSize) {}
+namespace {
+
+std::byte* map_zeroed_store() {
+  void* base = mmap(nullptr, kLocalStoreSize, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<std::byte*>(base);
+}
+
+}  // namespace
+
+LocalStore::LocalStore() : data_(map_zeroed_store()) {}
+
+void LocalStore::Unmap::operator()(std::byte* base) const {
+  munmap(base, kLocalStoreSize);
+}
 
 void LocalStore::check(LsAddr addr, std::size_t len) const {
-  if (addr > data_.size() || len > data_.size() - addr) {
+  if (addr > kLocalStoreSize || len > kLocalStoreSize - addr) {
     throw LocalStoreFault("local store access out of range: addr=" +
                           std::to_string(addr) + " len=" + std::to_string(len) +
-                          " (store is " + std::to_string(data_.size()) + " B)");
+                          " (store is " + std::to_string(kLocalStoreSize) +
+                          " B)");
   }
 }
 
 std::byte* LocalStore::at(LsAddr addr, std::size_t len) {
   check(addr, len);
-  return data_.data() + addr;
+  return data_.get() + addr;
 }
 
 const std::byte* LocalStore::at(LsAddr addr, std::size_t len) const {
   check(addr, len);
-  return data_.data() + addr;
+  return data_.get() + addr;
 }
 
 void LocalStore::write(LsAddr addr, const void* src, std::size_t len) {
@@ -34,7 +53,7 @@ void LocalStore::read(LsAddr addr, void* dst, std::size_t len) const {
 }
 
 void LocalStore::fill(std::byte value) {
-  std::fill(data_.begin(), data_.end(), value);
+  std::fill(data_.get(), data_.get() + kLocalStoreSize, value);
 }
 
 namespace {

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,13 +36,13 @@ class LocalStore {
   LocalStore& operator=(const LocalStore&) = delete;
 
   /// Capacity in bytes (always kLocalStoreSize).
-  std::size_t size() const { return data_.size(); }
+  std::size_t size() const { return kLocalStoreSize; }
 
   /// Host pointer to the beginning of the store.  This is the simulated
   /// analogue of libspe2's spe_ls_area_get(): the PPE sees local store
   /// memory-mapped into the effective-address space.
-  std::byte* base() { return data_.data(); }
-  const std::byte* base() const { return data_.data(); }
+  std::byte* base() { return data_.get(); }
+  const std::byte* base() const { return data_.get(); }
 
   /// Host pointer to `addr`, validated for an access of `len` bytes.
   /// Throws LocalStoreFault when [addr, addr+len) leaves the store.
@@ -61,7 +62,14 @@ class LocalStore {
  private:
   void check(LsAddr addr, std::size_t len) const;
 
-  std::vector<std::byte> data_;
+  /// Returns the store's pages to the host.
+  struct Unmap {
+    void operator()(std::byte* base) const;
+  };
+  /// Anonymous pages that the host zero-fills on first touch: a program
+  /// touches a few KB of its store, so building a blade's sixteen stores
+  /// costs no up-front 4 MB memset.
+  std::unique_ptr<std::byte, Unmap> data_;
 };
 
 /// First-fit allocator over a LocalStore, modelling the SPE linker/runtime

@@ -17,27 +17,40 @@ std::size_t Mailbox::free_slots() const {
 }
 
 void Mailbox::push_blocking(std::uint32_t value, simtime::SimTime stamp) {
-  std::unique_lock lock(mu_);
-  not_full_.wait(lock, [&] { return closed_ || fifo_.size() < capacity_; });
-  if (closed_) throw MailboxFault("push on closed mailbox");
-  fifo_.push_back(MailboxEntry{value, stamp});
-  not_empty_.notify_one();
+  {
+    std::unique_lock lock(mu_);
+    not_full_.wait(lock, [&] { return closed_ || fifo_.size() < capacity_; });
+    if (closed_) throw MailboxFault("push on closed mailbox");
+    fifo_.push_back(MailboxEntry{value, stamp});
+    not_empty_.notify_one();
+  }
+  ring();
 }
 
 bool Mailbox::try_push(std::uint32_t value, simtime::SimTime stamp) {
-  std::lock_guard lock(mu_);
-  if (closed_) throw MailboxFault("push on closed mailbox");
-  if (fifo_.size() >= capacity_) return false;
-  fifo_.push_back(MailboxEntry{value, stamp});
-  not_empty_.notify_one();
+  {
+    std::lock_guard lock(mu_);
+    if (closed_) throw MailboxFault("push on closed mailbox");
+    if (fifo_.size() >= capacity_) return false;
+    fifo_.push_back(MailboxEntry{value, stamp});
+    not_empty_.notify_one();
+  }
+  ring();
   return true;
 }
 
 MailboxEntry Mailbox::pop_blocking() {
   std::unique_lock lock(mu_);
-  while (!(closed_ || !fifo_.empty())) {
+  if (!closed_ && fifo_.empty()) {
     reader_waiting_.store(true, std::memory_order_release);
-    not_empty_.wait(lock);
+    if (doorbell_ != nullptr) {
+      // The reader just became quiescent, which a parked service watching
+      // reader_waiting() must see to let its peers run on.
+      lock.unlock();
+      doorbell_->ring();
+      lock.lock();
+    }
+    not_empty_.wait(lock, [&] { return closed_ || !fifo_.empty(); });
     reader_waiting_.store(false, std::memory_order_release);
   }
   if (fifo_.empty()) throw MailboxFault("pop on closed mailbox");
@@ -66,10 +79,13 @@ std::optional<MailboxEntry> Mailbox::try_pop() {
 }
 
 void Mailbox::close() {
-  std::lock_guard lock(mu_);
-  closed_ = true;
-  not_full_.notify_all();
-  not_empty_.notify_all();
+  {
+    std::lock_guard lock(mu_);
+    closed_ = true;
+    not_full_.notify_all();
+    not_empty_.notify_all();
+  }
+  ring();
 }
 
 bool Mailbox::closed() const {

@@ -6,7 +6,8 @@
 //   * outbound-interrupt (SPE -> PPE, raises an interrupt), 1 entry deep.
 // Entries are 32-bit words.  An SPU write to a full outbound mailbox and an
 // SPU read from an empty inbound mailbox *stall the SPU* — modelled here as
-// blocking on a condition variable.  The PPE side traditionally polls.
+// blocking on a condition variable.  The PPE side either polls or, like the
+// Co-Pilot, parks on a doorbell that the mailboxes it watches ring.
 //
 // Virtual time: every entry carries the sender's virtual timestamp at
 // completion of the send; the receiver joins its clock with that stamp.  The
@@ -23,6 +24,7 @@
 #include <optional>
 
 #include "cellsim/errors.hpp"
+#include "simtime/hostwait.hpp"
 #include "simtime/sim_time.hpp"
 
 namespace cellsim {
@@ -86,8 +88,18 @@ class Mailbox {
   /// Whether close() has been called.
   bool closed() const;
 
+  /// Rings `bell` after every push and close(), and when a reader starts
+  /// to wait in pop_blocking(), each time once the lock is released.  Set
+  /// before any thread uses the mailbox; null (the default) rings nothing.
+  void set_doorbell(simtime::Doorbell* bell) { doorbell_ = bell; }
+
  private:
+  void ring() {
+    if (doorbell_ != nullptr) doorbell_->ring();
+  }
+
   const std::size_t capacity_;
+  simtime::Doorbell* doorbell_ = nullptr;
   std::atomic<bool> reader_waiting_{false};
   mutable std::mutex mu_;
   std::condition_variable not_full_;

@@ -28,6 +28,7 @@ void Spe::raise_fault(FaultCode code, simtime::SimTime stamp,
   notice_.stamp = stamp;
   notice_.detail = std::move(detail);
   fault_raised_.store(true, std::memory_order_release);
+  if (doorbell_ != nullptr) doorbell_->ring();
 }
 
 const Spe::FaultNotice* Spe::fault_notice() const {

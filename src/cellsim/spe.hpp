@@ -93,7 +93,7 @@ class Spe {
 
   /// Records that the program running on this SPE died of `code` at virtual
   /// time `stamp` (called once, from the dying SPE thread).  The Co-Pilot
-  /// polls fault_notice() and converts the death into Pilot-level errors.
+  /// reads fault_notice() and converts the death into Pilot-level errors.
   void raise_fault(FaultCode code, simtime::SimTime stamp, std::string detail);
 
   /// The death notice, or nullptr while the SPE is healthy.  The returned
@@ -102,6 +102,16 @@ class Spe {
 
   /// Closes the mailboxes, releasing any blocked parties (node teardown).
   void shutdown();
+
+  /// The doorbell of the PPE-side service that serves this SPE: rung by
+  /// raise_fault and, through the mailboxes, by every outbound push or
+  /// close and by the SPU starting to wait on its inbound mailbox.  Set
+  /// before the SPE runs; null rings nothing.
+  void set_doorbell(simtime::Doorbell* bell) {
+    doorbell_ = bell;
+    inbound_.set_doorbell(bell);
+    outbound_.set_doorbell(bell);
+  }
 
  private:
   unsigned physical_id_;
@@ -118,6 +128,7 @@ class Spe {
   std::atomic<bool> busy_{false};
   FaultNotice notice_;
   std::atomic<bool> fault_raised_{false};
+  simtime::Doorbell* doorbell_ = nullptr;
 };
 
 }  // namespace cellsim

@@ -81,7 +81,9 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
         std::numeric_limits<simtime::SimTime>::max()));
     copilot_failovers_.push_back(std::make_unique<std::atomic<int>>(0));
     blade_kills_.push_back(std::make_unique<std::atomic<int>>(0));
+    copilot_doorbells_.push_back(nullptr);
     if (config_.nodes[i].kind != NodeKind::kCell) continue;
+    copilot_doorbells_.back() = std::make_unique<simtime::Doorbell>();
     mpisim::RankInfo info;
     info.core = simtime::CoreKind::kPpe;  // runs on the PPE's 2nd HW thread
     info.node = static_cast<int>(i);
@@ -102,6 +104,16 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   }
 
   world_ = std::make_unique<mpisim::World>(std::move(ranks), config_.cost);
+
+  // Point every ring source of a Co-Pilot at its node's doorbell.
+  for (std::size_t i = 0; i < config_.nodes.size(); ++i) {
+    simtime::Doorbell* bell = copilot_doorbells_[i].get();
+    if (bell == nullptr) continue;
+    for (unsigned s = 0; s < blades_[i]->spe_count(); ++s) {
+      blades_[i]->spe(s).set_doorbell(bell);
+    }
+    world_->queue(copilot_ranks_[i]).set_doorbell(bell);
+  }
 
   // On job abort, release SPE threads blocked in mailbox reads.
   world_->on_abort([this] {
@@ -170,6 +182,15 @@ std::atomic<simtime::SimTime>& Cluster::copilot_bound(int node_index) {
                                 " has no Co-Pilot (not a Cell node)");
   }
   return *copilot_bounds_[static_cast<std::size_t>(node_index)];
+}
+
+simtime::Doorbell& Cluster::copilot_doorbell(int node_index) {
+  if (!is_cell_node(node_index)) {
+    throw std::invalid_argument("Cluster: node " +
+                                std::to_string(node_index) +
+                                " has no Co-Pilot (not a Cell node)");
+  }
+  return *copilot_doorbells_[static_cast<std::size_t>(node_index)];
 }
 
 void Cluster::record_copilot_failover(int node_index) {

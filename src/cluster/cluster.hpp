@@ -25,6 +25,7 @@
 #include "mpisim/world.hpp"
 #include "simtime/byte_order.hpp"
 #include "simtime/cost_model.hpp"
+#include "simtime/hostwait.hpp"
 
 namespace cluster {
 
@@ -134,6 +135,17 @@ class Cluster {
   /// a relay.  Throws for Xeon nodes.
   std::atomic<simtime::SimTime>& copilot_bound(int node_index);
 
+  /// The doorbell the node's Co-Pilot parks on when it has no event.  It
+  /// outlives any one Co-Pilot service, so a standby or a blade successor
+  /// inherits it.  Rung by every producer of an event that can end an idle
+  /// park: a push to or close of an SPE's outbound mailbox, an SPE fault,
+  /// a deposit into or abort of the Co-Pilot rank's match queue, and an
+  /// SPE slot's release (PilotApp::release_spe).  Also rung where the
+  /// bound the Co-Pilot publishes changes while it is parked: an SPE slot's
+  /// acquire and an SPU starting to wait on its inbound mailbox.  Throws
+  /// for Xeon nodes.
+  simtime::Doorbell& copilot_doorbell(int node_index);
+
   /// Records that the node's Co-Pilot crashed and a standby took over
   /// (fault-injection failover).  Throws for Xeon nodes.
   void record_copilot_failover(int node_index);
@@ -157,6 +169,8 @@ class Cluster {
   std::vector<mpisim::Rank> copilot_ranks_;  // per node; -1 for Xeon
   std::vector<std::unique_ptr<std::atomic<simtime::SimTime>>>
       copilot_bounds_;  // per node
+  std::vector<std::unique_ptr<simtime::Doorbell>>
+      copilot_doorbells_;  // per node; null for Xeon
   std::vector<std::unique_ptr<std::atomic<int>>>
       copilot_failovers_;  // per node
   std::vector<std::unique_ptr<std::atomic<int>>> blade_kills_;  // per node

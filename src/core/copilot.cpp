@@ -27,6 +27,7 @@
 #include "mpisim/reliable.hpp"
 #include "pilot/deadlock.hpp"
 #include "pilot/wire.hpp"
+#include "simtime/hostwait.hpp"
 #include "simtime/timeseries.hpp"
 #include "simtime/tracebuf.hpp"
 
@@ -178,7 +179,8 @@ class CopilotService final : private Sources {
         node_(node),
         blade_(app.cluster().blade(node)),
         cost_(app.cluster().cost()),
-        published_bound_(app.cluster().copilot_bound(node)) {
+        published_bound_(app.cluster().copilot_bound(node)),
+        doorbell_(app.cluster().copilot_doorbell(node)) {
     state_.queue.assembly.resize(blade_.spe_count());
     if (crash != nullptr) recover(*crash);
   }
@@ -192,11 +194,14 @@ class CopilotService final : private Sources {
 
   int run() {
     for (;;) {
+      const std::uint32_t seen = doorbell_.announce();
       const Step step = schedule(*this, state_.queue, state_.reads);
       if (step.status == Step::kIdle) {
-        std::this_thread::sleep_for(std::chrono::microseconds(40));
+        // No event exists; only a ring source can make one.
+        doorbell_.park(seen);
         continue;
       }
+      doorbell_.unannounce();
       if (step.status == Step::kBlocked) {
         // A source might still produce an earlier event; wait (in real
         // time) for it to advance past the stamp, park, or finish.
@@ -1355,6 +1360,7 @@ class CopilotService final : private Sources {
   const simtime::CostModel& cost_;
   ServiceState state_;
   std::atomic<SimTime>& published_bound_;
+  simtime::Doorbell& doorbell_;
   /// Requests serviced by this incarnation — the checkpoint cadence
   /// counter (every -pickptevery services contributes a shard).  Carried
   /// across a blade kill so the cut ordinals stay on schedule.

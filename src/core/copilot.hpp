@@ -8,9 +8,11 @@
 // interrupted by SPE traffic.  It exists as a separate *process* (rank), not
 // a thread, so the design works under MPI_THREAD_SINGLE (paper §IV.B).
 //
-// The service loop polls its node's SPE outbound mailboxes for requests
-// (protocol.hpp) and its MPI queue for data addressed to local SPE readers,
-// pairing writers with readers:
+// The service loop drains its node's SPE outbound mailboxes for requests
+// (protocol.hpp) and checks its MPI queue for data addressed to local SPE
+// readers, pairing writers with readers.  With no event to run it parks on
+// the node's doorbell (Cluster::copilot_doorbell) until a ring source
+// produces one:
 //   type 2/3, SPE writer:  frame from local store -> MPI send to reader rank
 //   type 2/3, SPE reader:  MPI recv -> straight into local store
 //   type 4:                pair two local requests -> memcpy LS -> LS

@@ -1,7 +1,6 @@
 #include "dacssim/dacs.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -185,15 +184,11 @@ dacs_rc dacs_mailbox_read(Runtime& rt, de_id_t ae, std::uint32_t* value) {
   }
   cellsim::Mailbox& mb =
       rt.blade().spe(static_cast<unsigned>(ae.value)).outbound_mailbox();
-  for (;;) {
-    if (auto e = mb.try_pop()) {
-      rt.he_clock().join(e->stamp);
-      rt.he_clock().advance(rt.cost().mbox_ppe_read);
-      *value = e->value;
-      return DACS_SUCCESS;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(10));
-  }
+  const cellsim::MailboxEntry e = mb.pop_blocking();
+  rt.he_clock().join(e.stamp);
+  rt.he_clock().advance(rt.cost().mbox_ppe_read);
+  *value = e.value;
+  return DACS_SUCCESS;
 }
 
 namespace {

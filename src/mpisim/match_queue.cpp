@@ -3,18 +3,24 @@
 namespace mpisim {
 
 void MatchQueue::deposit(InboundMessage msg) {
-  std::lock_guard lock(mu_);
-  if (aborted_) return;  // job is dying; drop silently
-  Lane* target = exact_lane(msg.source, msg.tag);
-  if (target == nullptr) {
-    std::unique_ptr<Lane>& slot = lanes_[key(msg.source, msg.tag)];
-    slot = std::make_unique<Lane>(Lane{msg.source, msg.tag, 0, {}});
-    target = slot.get();
-    by_tag_[msg.tag].push_back(target);
+  {
+    std::lock_guard lock(mu_);
+    if (aborted_) return;  // job is dying; drop silently
+    Lane* target = exact_lane(msg.source, msg.tag);
+    if (target == nullptr) {
+      std::unique_ptr<Lane>& slot = lanes_[key(msg.source, msg.tag)];
+      slot = std::make_unique<Lane>(Lane{msg.source, msg.tag, 0, {}});
+      target = slot.get();
+      by_tag_[msg.tag].push_back(target);
+    }
+    target->fifo.push_back({next_seq_++, std::move(msg)});
+    ++pending_;
+    // The sleeper may now wake and send; it is not quiescent until it has
+    // looked at this message and gone back to sleep.
+    waiting_.store(false, std::memory_order_release);
+    arrived_.notify_all();
   }
-  target->fifo.push_back({next_seq_++, std::move(msg)});
-  ++pending_;
-  arrived_.notify_all();
+  ring();
 }
 
 MatchQueue::Lane* MatchQueue::exact_lane(Rank source, int tag) const {
@@ -143,10 +149,13 @@ std::size_t MatchQueue::pending() const {
 }
 
 void MatchQueue::abort(const std::string& reason) {
-  std::lock_guard lock(mu_);
-  aborted_ = true;
-  abort_reason_ = reason;
-  arrived_.notify_all();
+  {
+    std::lock_guard lock(mu_);
+    aborted_ = true;
+    abort_reason_ = reason;
+    arrived_.notify_all();
+  }
+  ring();
 }
 
 }  // namespace mpisim

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "mpisim/types.hpp"
+#include "simtime/hostwait.hpp"
 #include "simtime/sim_time.hpp"
 
 namespace mpisim {
@@ -85,10 +86,18 @@ class alignas(64) MatchQueue {
   /// makes future blocking calls throw likewise.
   void abort(const std::string& reason);
 
-  /// True while the owning rank is asleep inside a blocking match/probe.
-  /// A blocked rank cannot initiate sends, so conservative schedulers (the
-  /// Co-Pilot's virtual-time event ordering) treat it as quiescent.
+  /// True while the owning rank is asleep inside a blocking match/probe
+  /// and nothing has been deposited since it fell asleep.  A blocked rank
+  /// cannot initiate sends, so conservative schedulers (the Co-Pilot's
+  /// virtual-time event ordering) treat it as quiescent; a deposit clears
+  /// the flag at once, since the sleeper it wakes may send.
   bool waiting() const { return waiting_.load(std::memory_order_acquire); }
+
+  /// Rings `bell` after every deposit and abort(), once the lock is
+  /// released: the owning rank parks on it instead of in a blocking call.
+  /// Set before any thread uses the queue; null (the default) rings
+  /// nothing.
+  void set_doorbell(simtime::Doorbell* bell) { doorbell_ = bell; }
 
  private:
   /// The queued messages of one (source, tag) pair, oldest first:
@@ -136,9 +145,14 @@ class alignas(64) MatchQueue {
     }
   }
 
+  void ring() {
+    if (doorbell_ != nullptr) doorbell_->ring();
+  }
+
   mutable std::mutex mu_;
   std::uint64_t next_seq_ = 0;
   std::size_t pending_ = 0;
+  simtime::Doorbell* doorbell_ = nullptr;
   std::condition_variable arrived_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Lane>> lanes_;
   std::unordered_map<int, std::vector<Lane*>> by_tag_;  // (kAnySource, tag)

@@ -146,23 +146,44 @@ void PilotApp::user_barrier(mpisim::Mpi& mpi) {
 }
 
 unsigned PilotApp::acquire_spe(int node) {
-  std::lock_guard lock(spe_mu_);
-  auto& busy = spe_busy_[static_cast<std::size_t>(node)];
-  for (unsigned i = 0; i < busy.size(); ++i) {
-    if (!busy[i]) {
-      busy[i] = true;
-      return i;
+  unsigned flat = 0;
+  {
+    std::lock_guard lock(spe_mu_);
+    auto& busy = spe_busy_[static_cast<std::size_t>(node)];
+    while (flat < busy.size() && busy[flat]) ++flat;
+    if (flat == busy.size()) {
+      throw PilotError(ErrorCode::kCapacity,
+                       "all " + std::to_string(busy.size()) +
+                           " SPEs of node " + std::to_string(node) +
+                           " are busy");
     }
+    busy[flat] = true;
   }
-  throw PilotError(ErrorCode::kCapacity,
-                   "all " + std::to_string(busy.size()) +
-                       " SPEs of node " + std::to_string(node) +
-                       " are busy");
+  note_acquired(node, flat);
+  return flat;
+}
+
+void PilotApp::note_acquired(int node, unsigned flat_index) {
+  // A free slot counts as silent (kForever) in the bound the Co-Pilot
+  // publishes to its peers, and a parked Co-Pilot does not republish.  So
+  // lower the bound to the new occupant's clock (its stamps only grow)
+  // before the acquirer can go quiescent behind it, then ring the
+  // Co-Pilot to publish the exact value.
+  std::atomic<simtime::SimTime>& bound = cluster_->copilot_bound(node);
+  const simtime::SimTime floor = cluster_->spe(node, flat_index).clock().now();
+  simtime::SimTime cur = bound.load(std::memory_order_acquire);
+  while (floor < cur && !bound.compare_exchange_weak(cur, floor)) {
+  }
+  cluster_->copilot_doorbell(node).ring();
 }
 
 void PilotApp::release_spe(int node, unsigned flat_index) {
-  std::lock_guard lock(spe_mu_);
-  spe_busy_[static_cast<std::size_t>(node)][flat_index] = false;
+  {
+    std::lock_guard lock(spe_mu_);
+    spe_busy_[static_cast<std::size_t>(node)][flat_index] = false;
+  }
+  // A retiring respawned occupant ends the Co-Pilot's shutdown deferral.
+  cluster_->copilot_doorbell(node).ring();
 }
 
 int PilotApp::busy_spe_count(int node) {
@@ -192,15 +213,18 @@ int PilotApp::spe_process(int node, unsigned flat_index) {
 }
 
 unsigned PilotApp::acquire_spe_preferring(int node, unsigned preferred) {
+  bool taken = false;
   {
     std::lock_guard lock(spe_mu_);
     auto& busy = spe_busy_[static_cast<std::size_t>(node)];
     if (preferred < busy.size() && !busy[preferred]) {
       busy[preferred] = true;
-      return preferred;
+      taken = true;
     }
   }
-  return acquire_spe(node);
+  if (!taken) return acquire_spe(node);
+  note_acquired(node, preferred);
+  return preferred;
 }
 
 void PilotApp::begin_launch(int process_id, LaunchRecipe recipe) {

@@ -247,6 +247,8 @@ class PilotApp {
                                             mpisim::Rank owner);
   /// Joins `threads` with `rank` flushed and parked passive.
   void join_passive(mpisim::Rank rank, std::vector<std::thread> threads);
+  /// Tells the node's Co-Pilot that slot `flat_index` was just acquired.
+  void note_acquired(int node, unsigned flat_index);
 
   std::mutex spe_mu_;  // guards the pool and the launch records
   std::vector<std::vector<bool>> spe_busy_;  // [node][flat_index]

@@ -85,6 +85,28 @@ TEST(MatchQueue, BlockingMatchWaitsForDeposit) {
   EXPECT_EQ(got, 9u);
 }
 
+TEST(MatchQueue, DepositEndsTheSleepersQuiescence) {
+  // A sleeper that a deposit may wake can send again, so from the deposit
+  // on it must not read as quiescent, even before its thread has run.
+  MatchQueue q;
+  const auto until_asleep = [&q] {
+    while (!q.waiting()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  std::thread reader([&] { q.match_blocking(7, 70); });
+  until_asleep();
+  // Not the one it waits for: it wakes, looks and goes back to sleep.
+  q.deposit(msg(7, 71));
+  until_asleep();
+  // The match: the sleeper will not sleep again, so the flag must already
+  // be down when deposit returns.
+  q.deposit(msg(7, 70));
+  EXPECT_FALSE(q.waiting());
+  reader.join();
+  EXPECT_FALSE(q.waiting());
+}
+
 TEST(MatchQueue, ProbeBlockingLeavesMessage) {
   MatchQueue q;
   std::thread writer([&] {
