@@ -1,5 +1,7 @@
 #include "cellsim/mailbox.hpp"
 
+#include <algorithm>
+
 namespace cellsim {
 
 Mailbox::Mailbox(std::size_t capacity) : capacity_(capacity) {
@@ -8,20 +10,21 @@ Mailbox::Mailbox(std::size_t capacity) : capacity_(capacity) {
 
 std::size_t Mailbox::count() const {
   std::lock_guard lock(mu_);
-  return fifo_.size();
+  return std::min(fifo_.size(), capacity_);
 }
 
 std::size_t Mailbox::free_slots() const {
   std::lock_guard lock(mu_);
-  return capacity_ - fifo_.size();
+  return capacity_ - std::min(fifo_.size(), capacity_);
 }
 
-void Mailbox::push_blocking(std::uint32_t value, simtime::SimTime stamp) {
+void Mailbox::push_blocking(std::span<const MailboxEntry> entries) {
+  if (entries.empty()) return;
   {
     std::unique_lock lock(mu_);
     not_full_.wait(lock, [&] { return closed_ || fifo_.size() < capacity_; });
     if (closed_) throw MailboxFault("push on closed mailbox");
-    fifo_.push_back(MailboxEntry{value, stamp});
+    fifo_.insert(fifo_.end(), entries.begin(), entries.end());
     not_empty_.notify_one();
   }
   ring();

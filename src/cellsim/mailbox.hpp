@@ -22,6 +22,7 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <span>
 
 #include "cellsim/errors.hpp"
 #include "simtime/hostwait.hpp"
@@ -47,16 +48,28 @@ class Mailbox {
   /// Maximum number of entries.
   std::size_t capacity() const { return capacity_; }
 
-  /// Current number of entries (racy snapshot, as on hardware).
+  /// Current number of entries (racy snapshot, as on hardware), at most
+  /// capacity(): a post may queue more words than the hardware depth.
   std::size_t count() const;
 
-  /// Number of free slots (hardware "status" register read).
+  /// Number of free slots (hardware "status" register read); 0 while a
+  /// post holds the FIFO at or past its depth.
   std::size_t free_slots() const;
 
-  /// Blocking write: waits while full, then deposits.  Models the SPU
-  /// stalling on a full outbound channel.  Throws MailboxFault if the
-  /// mailbox is closed while waiting.
-  void push_blocking(std::uint32_t value, simtime::SimTime stamp);
+  /// Blocking write of a whole post: waits while full (the SPU stalling on
+  /// a full outbound channel), then appends every entry in order, wakes
+  /// the reader once and rings the doorbell once.  The entries may
+  /// outnumber the free slots: hardware would stall between words, but
+  /// each entry's stamp is fixed by its writer before the push, so that
+  /// stall never moved virtual time and the post lands whole.  Throws
+  /// MailboxFault if the mailbox is closed while waiting.
+  void push_blocking(std::span<const MailboxEntry> entries);
+
+  /// The one-entry post.
+  void push_blocking(std::uint32_t value, simtime::SimTime stamp) {
+    const MailboxEntry entry{value, stamp};
+    push_blocking(std::span(&entry, 1));
+  }
 
   /// Non-blocking write: returns false when full (PPE-style write of the
   /// inbound mailbox with SPE_MBOX_ANY_NONBLOCKING behaviour).

@@ -1,5 +1,8 @@
 #include "cellsim/spu.hpp"
 
+#include <array>
+#include <string>
+
 #include "cellsim/errors.hpp"
 #include "cellsim/inject.hpp"
 #include "simtime/metrics.hpp"
@@ -20,6 +23,59 @@ void probe_mailbox(const SpuEnv& e, inject::Site site, const char* which) {
     e.spe->clock().advance(act.delay);
   }
   if (act.fault) {
+    throw MailboxFault(std::string("injected mailbox fault on ") + which +
+                       " of " + e.spe->name());
+  }
+}
+
+// Writes `words` to `box` in one push.  The SPU's stall on a full mailbox
+// between words was never charged (a word's stamp is its SPU clock plus
+// any probe stall plus mbox_spu_write), so the stamps are computed first
+// and the words handed over together; the trace records follow the push,
+// as each word's did.  The stamps run on a local cursor, and the SPU
+// clock joins it only once the push has returned: the Co-Pilot reads that
+// clock from its own thread as a lower bound on every word not yet queued.
+void post(const SpuEnv& e, Mailbox& box, const char* which,
+          std::span<const std::uint32_t> words) {
+  if (words.size() > kMaxPostWords) {
+    throw ContextFault(std::string("post of ") + std::to_string(words.size()) +
+                       " words to " + which + " of " + e.spe->name() +
+                       " exceeds " + std::to_string(kMaxPostWords));
+  }
+  std::array<MailboxEntry, kMaxPostWords> entries;
+  std::array<simtime::SimTime, kMaxPostWords> begins;
+  std::size_t n = 0;
+  simtime::SimTime cursor = e.spe->clock().now();
+  bool fault = false;
+  for (const std::uint32_t value : words) {
+    const inject::Action act =
+        inject::probe(inject::Site::kMboxWrite, e.spe->name().c_str(), cursor);
+    cursor += act.delay;
+    if (act.fault) {
+      fault = true;  // the words before the faulting one are written
+      break;
+    }
+    begins[n] = cursor;
+    cursor += e.cost->mbox_spu_write;
+    entries[n++] = {value, cursor};
+  }
+  try {
+    box.push_blocking(std::span(entries.data(), n));
+  } catch (const MailboxFault&) {
+    // A closed mailbox refuses the post whole; the SPU dies where a
+    // word-at-a-time write would have: having written word 0.
+    e.spe->clock().join(entries[0].stamp);
+    throw;
+  }
+  e.spe->clock().join(cursor);
+  if (simtime::tracebuf::armed()) {
+    for (std::size_t i = 0; i < n; ++i) {
+      simtime::tracebuf::record(simtime::tracebuf::Kind::kMboxPush,
+                                e.spe->name(), begins[i], entries[i].stamp,
+                                sizeof(std::uint32_t));
+    }
+  }
+  if (fault) {
     throw MailboxFault(std::string("injected mailbox fault on ") + which +
                        " of " + e.spe->name());
   }
@@ -65,28 +121,15 @@ std::uint32_t spu_read_in_mbox() {
   return entry.value;
 }
 
-void spu_write_out_mbox(std::uint32_t value) {
+void spu_write_out_mbox(std::span<const std::uint32_t> words) {
   const SpuEnv& e = env();
-  probe_mailbox(e, inject::Site::kMboxWrite, "out_mbox");
-  const simtime::SimTime begin = e.spe->clock().now();
-  const simtime::SimTime end = e.spe->clock().advance(e.cost->mbox_spu_write);
-  e.spe->outbound_mailbox().push_blocking(value, end);
-  if (simtime::tracebuf::armed()) {
-    simtime::tracebuf::record(simtime::tracebuf::Kind::kMboxPush, e.spe->name(),
-                              begin, end, sizeof(std::uint32_t));
-  }
+  post(e, e.spe->outbound_mailbox(), "out_mbox", words);
 }
 
 void spu_write_out_intr_mbox(std::uint32_t value) {
   const SpuEnv& e = env();
-  probe_mailbox(e, inject::Site::kMboxWrite, "out_intr_mbox");
-  const simtime::SimTime begin = e.spe->clock().now();
-  const simtime::SimTime end = e.spe->clock().advance(e.cost->mbox_spu_write);
-  e.spe->outbound_interrupt_mailbox().push_blocking(value, end);
-  if (simtime::tracebuf::armed()) {
-    simtime::tracebuf::record(simtime::tracebuf::Kind::kMboxPush, e.spe->name(),
-                              begin, end, sizeof(std::uint32_t));
-  }
+  post(e, e.spe->outbound_interrupt_mailbox(), "out_intr_mbox",
+       std::span(&value, 1));
 }
 
 unsigned spu_stat_in_mbox() {

@@ -13,7 +13,9 @@
 // on the PPE).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "cellsim/mfc.hpp"
 #include "cellsim/spe.hpp"
@@ -47,8 +49,22 @@ Spe& self();
 /// Reads the next word of the inbound mailbox, stalling while empty.
 std::uint32_t spu_read_in_mbox();
 
-/// Writes a word to the outbound mailbox, stalling while full.
-void spu_write_out_mbox(std::uint32_t value);
+/// The longest post `spu_write_out_mbox` takes (a CellPilot request is 4
+/// or 5 words); a longer span raises ContextFault and writes nothing.
+inline constexpr std::size_t kMaxPostWords = 8;
+
+/// Writes `words` to the outbound mailbox in order, stalling while full.
+/// Each word is probed, charged `mbox_spu_write` and traced as if written
+/// alone, so its stamp is the one a word-at-a-time write would give it;
+/// the words then reach the reader in one hand-off, and the SPU clock
+/// moves past them only after it.  A fault on word k delivers words
+/// 0..k-1 first.
+void spu_write_out_mbox(std::span<const std::uint32_t> words);
+
+/// Writes one word to the outbound mailbox, stalling while full.
+inline void spu_write_out_mbox(std::uint32_t value) {
+  spu_write_out_mbox(std::span(&value, 1));
+}
 
 /// Writes a word to the interrupting outbound mailbox, stalling while full.
 void spu_write_out_intr_mbox(std::uint32_t value);

@@ -1,5 +1,6 @@
 #include "core/faultplan.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -369,6 +370,12 @@ mpisim::inject::Action FaultPlan::on_send(int from, int to, int /*tag*/,
     }
   }
   return action;
+}
+
+bool FaultPlan::has_rule(Kind kind) const {
+  std::lock_guard lock(mu_);
+  return std::any_of(rules_.begin(), rules_.end(),
+                     [kind](const Rule& rule) { return rule.kind == kind; });
 }
 
 bool FaultPlan::should_crash_spe(const char* owner) {

@@ -128,6 +128,9 @@ class FaultPlan {
   /// The active rules.
   std::vector<Rule> rules() const;
 
+  /// Whether any active rule is of `kind`.
+  bool has_rule(Kind kind) const;
+
   /// The seed-derived ordinal an `op=0` rule resolves to at `site`
   /// (deterministic in (seed, rule index, site); range [1, 16]).
   std::uint64_t derived_op(std::size_t rule_index,

@@ -1,6 +1,7 @@
 #include "core/spe_runtime.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -22,33 +23,49 @@ namespace {
 
 using cellsim::spu::env;
 
-/// Issues one request and stalls for the completion word.  The fault
-/// plan's crash probe fires *before* the first mailbox word: a crashed
-/// SPE dies mid-transfer from its peers' point of view — the request
-/// never reaches the Co-Pilot, which discovers the death via the SPE's
-/// posthumous fault notice.
-CompletionStatus request_and_wait(Opcode op, const PI_CHANNEL& ch,
-                                  cellsim::LsAddr ls_addr,
-                                  std::uint32_t length, std::uint32_t sig) {
+/// The fault plan's crash probe before a request: a crashed SPE dies
+/// mid-transfer from its peers' point of view — the request never reaches
+/// the Co-Pilot, which discovers the death via the SPE's posthumous fault
+/// notice.
+void probe_crash_before_request(const PI_CHANNEL& ch) {
   if (faults::FaultPlan::global().armed() &&
       faults::FaultPlan::global().should_crash_spe(
           env().spe->name().c_str())) {
     throw faults::InjectedCrash("injected SPE crash on " + env().spe->name() +
                                 " before request on channel " + ch.name);
   }
-  cellsim::spu::spu_write_out_mbox(pack_op_channel(op, ch.id));
-  cellsim::spu::spu_write_out_mbox(ls_addr);
-  // The mid-message probe fires between mailbox words: the Co-Pilot is
-  // left holding a partial assembly, the harshest death the self-healing
-  // path has to absorb (spe_crash dies cleanly *before* the request).
-  if (faults::FaultPlan::global().armed() &&
-      faults::FaultPlan::global().should_crash_spe_mid(
-          env().spe->name().c_str())) {
+}
+
+/// Posts one request's words (4 blocking, 5 async) to the Co-Pilot in one
+/// mailbox hand-off.  When the fault plan has a spe_crash_mid rule, its
+/// probe is asked between words 1 and 2, as it always was, so the request
+/// goes in two posts: a crash there leaves the Co-Pilot holding a two-word
+/// partial assembly, the harshest death the self-healing path has to
+/// absorb.
+void post_request(std::span<const std::uint32_t> words,
+                  const PI_CHANNEL& ch) {
+  static_assert(kAsyncRequestWords <= cellsim::spu::kMaxPostWords);
+  faults::FaultPlan& plan = faults::FaultPlan::global();
+  if (!plan.armed() || !plan.has_rule(faults::Kind::kSpeCrashMid)) {
+    cellsim::spu::spu_write_out_mbox(words);
+    return;
+  }
+  cellsim::spu::spu_write_out_mbox(words.first(2));
+  if (plan.should_crash_spe_mid(env().spe->name().c_str())) {
     throw faults::InjectedCrash("injected SPE crash on " + env().spe->name() +
                                 " mid-request on channel " + ch.name);
   }
-  cellsim::spu::spu_write_out_mbox(length);
-  cellsim::spu::spu_write_out_mbox(sig);
+  cellsim::spu::spu_write_out_mbox(words.subspan(2));
+}
+
+/// Issues one blocking request and stalls for the completion word.
+CompletionStatus request_and_wait(Opcode op, const PI_CHANNEL& ch,
+                                  cellsim::LsAddr ls_addr,
+                                  std::uint32_t length, std::uint32_t sig) {
+  probe_crash_before_request(ch);
+  const std::array<std::uint32_t, kRequestWords> words{
+      pack_op_channel(op, ch.id), ls_addr, length, sig};
+  post_request(words, ch);
   return static_cast<CompletionStatus>(cellsim::spu::spu_read_in_mbox());
 }
 
@@ -167,7 +184,7 @@ void free_parked(PI_OP& op) {
   }
 }
 
-/// Submits one async request: stages, probes the crash plan, pushes the
+/// Submits one async request: stages, probes the crash plan, posts the
 /// 5-word request and leaves `op` in flight with its staging parked.
 void spe_submit(PI_OP& op, Opcode opcode, const PI_CHANNEL& ch,
                 std::uint32_t sig, std::span<const std::byte> payload,
@@ -194,29 +211,15 @@ void spe_submit(PI_OP& op, Opcode opcode, const PI_CHANNEL& ch,
   if (!payload.empty()) {
     std::memcpy(staging.ptr(), payload.data(), payload.size());
   }
-  if (faults::FaultPlan::global().armed() &&
-      faults::FaultPlan::global().should_crash_spe(
-          env().spe->name().c_str())) {
-    throw faults::InjectedCrash("injected SPE crash on " + env().spe->name() +
-                                " before request on channel " + ch.name);
-  }
+  probe_crash_before_request(ch);
   op.token = engine.next_token();
   op.signature = sig;
   op.bytes = bytes;
   completion::set_state(op, completion::State::kStaged);
-  cellsim::spu::spu_write_out_mbox(pack_op_channel(opcode, ch.id));
-  cellsim::spu::spu_write_out_mbox(staging.addr());
-  // Same mid-message seam as the blocking path: die with the 5-word async
-  // request half-written so supervision must reconcile a partial assembly.
-  if (faults::FaultPlan::global().armed() &&
-      faults::FaultPlan::global().should_crash_spe_mid(
-          env().spe->name().c_str())) {
-    throw faults::InjectedCrash("injected SPE crash on " + env().spe->name() +
-                                " mid-request on channel " + ch.name);
-  }
-  cellsim::spu::spu_write_out_mbox(static_cast<std::uint32_t>(bytes));
-  cellsim::spu::spu_write_out_mbox(sig);
-  cellsim::spu::spu_write_out_mbox(op.token);
+  const std::array<std::uint32_t, kAsyncRequestWords> words{
+      pack_op_channel(opcode, ch.id), staging.addr(),
+      static_cast<std::uint32_t>(bytes), sig, op.token};
+  post_request(words, ch);
   op.ls_bytes = static_cast<std::uint32_t>(bytes);
   op.ls_addr = staging.disown();
   completion::set_state(op, completion::State::kInFlight);

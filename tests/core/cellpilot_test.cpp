@@ -369,15 +369,17 @@ TEST(CellPilot, SpeAsBundleCommonEndpointIsRejected) {
 
 // --- SPE collectives (extension: the paper's §VI future work) ----------------
 
-PI_CHANNEL* g_coll_down[4];
-PI_CHANNEL* g_coll_up[4];
+// Every rank's configuration phase stores the same channel pointers here,
+// concurrently, so the stores are atomic; each rank bundles its own copy.
+std::array<std::atomic<PI_CHANNEL*>, 4> g_coll_down;
+std::array<std::atomic<PI_CHANNEL*>, 4> g_coll_up;
 
 PI_SPE_PROGRAM(coll_worker) {
   const int id = arg1;
   double seed = 0;
-  PI_Read(g_coll_down[id], "%lf", &seed);       // broadcast leg
+  PI_Read(g_coll_down[id].load(), "%lf", &seed);       // broadcast leg
   const double result = seed * (id + 1);
-  PI_Write(g_coll_up[id], "%d %lf", id, result);  // gather leg
+  PI_Write(g_coll_up[id].load(), "%d %lf", id, result);  // gather leg
   return 0;
 }
 
@@ -388,13 +390,17 @@ TEST(CellPilot, BroadcastAndGatherSpanSpeWorkers) {
   const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
     PI_Configure(&argc, &argv);
     PI_PROCESS* spes[4];
+    PI_CHANNEL* down[4];
+    PI_CHANNEL* up[4];
     for (int i = 0; i < 4; ++i) {
       spes[i] = PI_CreateSPE(coll_worker, PI_MAIN, i);
-      g_coll_down[i] = PI_CreateChannel(PI_MAIN, spes[i]);
-      g_coll_up[i] = PI_CreateChannel(spes[i], PI_MAIN);
+      down[i] = PI_CreateChannel(PI_MAIN, spes[i]);
+      up[i] = PI_CreateChannel(spes[i], PI_MAIN);
+      g_coll_down[i] = down[i];
+      g_coll_up[i] = up[i];
     }
-    PI_BUNDLE* bcast = PI_CreateBundle(PI_BROADCAST, g_coll_down, 4);
-    PI_BUNDLE* gather = PI_CreateBundle(PI_GATHER, g_coll_up, 4);
+    PI_BUNDLE* bcast = PI_CreateBundle(PI_BROADCAST, down, 4);
+    PI_BUNDLE* gather = PI_CreateBundle(PI_GATHER, up, 4);
     PI_StartAll();
     for (int i = 0; i < 4; ++i) PI_RunSPE(spes[i], i, nullptr);
     PI_Broadcast(bcast, "%lf", 2.5);
@@ -410,7 +416,7 @@ TEST(CellPilot, BroadcastAndGatherSpanSpeWorkers) {
 }
 
 PI_SPE_PROGRAM(coll_select_worker) {
-  PI_Write(g_coll_up[arg1], "%d", arg1);
+  PI_Write(g_coll_up[arg1].load(), "%d", arg1);
   return 0;
 }
 
@@ -419,18 +425,20 @@ TEST(CellPilot, SelectFindsReadySpeChannels) {
   const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
     PI_Configure(&argc, &argv);
     PI_PROCESS* spes[3];
+    PI_CHANNEL* up[3];
     for (int i = 0; i < 3; ++i) {
       spes[i] = PI_CreateSPE(coll_select_worker, PI_MAIN, i);
-      g_coll_up[i] = PI_CreateChannel(spes[i], PI_MAIN);
+      up[i] = PI_CreateChannel(spes[i], PI_MAIN);
+      g_coll_up[i] = up[i];
     }
-    PI_BUNDLE* ready = PI_CreateBundle(PI_SELECT, g_coll_up, 3);
+    PI_BUNDLE* ready = PI_CreateBundle(PI_SELECT, up, 3);
     PI_StartAll();
     for (int i = 0; i < 3; ++i) PI_RunSPE(spes[i], i, nullptr);
     int seen_mask = 0;
     for (int n = 0; n < 3; ++n) {
       const int who = PI_Select(ready);
       int v = -1;
-      PI_Read(g_coll_up[who], "%d", &v);
+      PI_Read(up[who], "%d", &v);
       EXPECT_EQ(v, who);
       seen_mask |= 1 << who;
     }
