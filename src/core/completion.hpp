@@ -1,17 +1,21 @@
 // completion.hpp — the async completion engine under PI_Write / PI_Read.
 //
-// Every channel transfer — blocking or async, rank- or SPE-side — is an
+// Every async transfer (PI_WriteAsync / PI_ReadAsync returning PI_HANDLE,
+// then PI_Wait / PI_Test / PI_WaitAny), rank- or SPE-side, is an
 // *operation* moving through a small state machine:
 //
 //   pending -> staged -> in-flight -> complete | faulted -> released
 //
-// The blocking tier (PI_Write / PI_Read) is submit + wait fused into one
-// call; the async tier (PI_WriteAsync / PI_ReadAsync returning PI_HANDLE,
-// then PI_Wait / PI_Test / PI_WaitAny) splits the same path in two.  The
-// operation object carries everything the deferred half needs: the
-// reader's scatter plan, the local-store staging an SPE write parked with
-// its Co-Pilot, the completion token matching a mailbox word back to its
-// operation, and the fault status a failed peer left behind.
+// The blocking tier (PI_Write / PI_Read) shares the async tier's send and
+// receive paths but creates no operation: a rank sends or receives in
+// place, and an SPE posts a 4-word request and waits for a bare status
+// word.  Only a blocking SPE call made while async operations are in
+// flight is a submit plus a wait on a private operation, because every
+// inbound-mailbox word is then a packed completion.  The operation object
+// carries everything the deferred half needs: the reader's scatter plan,
+// the local-store staging an SPE write parked with its Co-Pilot, the
+// completion token matching a mailbox word back to its operation, and the
+// fault status a failed peer left behind.
 //
 // Threading model: operations are owned by the *submitting* thread's
 // engine (one engine per rank/SPE thread, thread-local).  Handles must be

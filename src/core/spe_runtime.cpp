@@ -12,6 +12,7 @@
 #include "cellsim/spe.hpp"
 #include "cellsim/spu.hpp"
 #include "core/faultplan.hpp"
+#include "core/metrics.hpp"
 #include "core/protocol.hpp"
 #include "core/router.hpp"
 #include "pilot/context.hpp"
@@ -56,17 +57,6 @@ void post_request(std::span<const std::uint32_t> words,
                                 " mid-request on channel " + ch.name);
   }
   cellsim::spu::spu_write_out_mbox(words.subspan(2));
-}
-
-/// Issues one blocking request and stalls for the completion word.
-CompletionStatus request_and_wait(Opcode op, const PI_CHANNEL& ch,
-                                  cellsim::LsAddr ls_addr,
-                                  std::uint32_t length, std::uint32_t sig) {
-  probe_crash_before_request(ch);
-  const std::array<std::uint32_t, kRequestWords> words{
-      pack_op_channel(op, ch.id), ls_addr, length, sig};
-  post_request(words, ch);
-  return static_cast<CompletionStatus>(cellsim::spu::spu_read_in_mbox());
 }
 
 [[noreturn]] void throw_completion_error(CompletionStatus status,
@@ -184,46 +174,37 @@ void free_parked(PI_OP& op) {
   }
 }
 
-/// Submits one async request: stages, probes the crash plan, posts the
-/// 5-word request and leaves `op` in flight with its staging parked.
-void spe_submit(PI_OP& op, Opcode opcode, const PI_CHANNEL& ch,
-                std::uint32_t sig, std::span<const std::byte> payload,
-                std::size_t bytes) {
+bool is_write(completion::Kind kind) {
+  return kind == completion::Kind::kWrite;
+}
+
+/// Charges the SPU side of one channel call; returns the clock before the
+/// charge, the call's begin stamp.
+simtime::SimTime charge_spu_call() {
   const auto& e = env();
+  const simtime::SimTime begin = e.spe->clock().now();
   e.spe->clock().advance(e.cost->spu_call_overhead);
+  return begin;
+}
 
-  auto& engine = completion::Engine::local();
-  // Harvest any words that already arrived, then enforce the in-flight
-  // cap that keeps the Co-Pilot's completion pushes non-blocking.
-  drain_available_completions(/*lenient=*/false);
-  if (engine.inflight() >=
-      static_cast<int>(cellsim::kInboundMailboxDepth)) {
-    throw pilot::PilotError(
-        pilot::ErrorCode::kUsage,
-        channel_label(ch) +
-            ": too many outstanding async operations on this SPE (the "
-            "inbound mailbox holds " +
-            std::to_string(cellsim::kInboundMailboxDepth) +
-            " completions; wait on a handle first)");
-  }
-
-  Staging staging(bytes);
-  if (!payload.empty()) {
-    std::memcpy(staging.ptr(), payload.data(), payload.size());
+/// Readies `staging` for one request on `ch`, up to its post.  A write
+/// copies `data` in (on hardware the user's buffer is already in local
+/// store, so the copy is a simulation artifact and is not charged virtual
+/// time); a read's staging waits for the Co-Pilot to fill it.  With metrics
+/// armed, a write pushes its latency-ledger stamp `begin` here: every check
+/// that can refuse the request has passed, so a refused request leaves no
+/// stamp, and the request is not posted yet, so the push happens-before
+/// the reader's pop.  Then the fault plan's crash probe.
+void ready_request(Staging& staging, completion::Kind kind,
+                   const PI_CHANNEL& ch, std::span<const std::byte> data,
+                   simtime::SimTime begin) {
+  if (is_write(kind)) {
+    if (!data.empty()) std::memcpy(staging.ptr(), data.data(), data.size());
+    if (simtime::metrics::armed()) {
+      metrics::LatencyLedger::global().push(ch.id, begin);
+    }
   }
   probe_crash_before_request(ch);
-  op.token = engine.next_token();
-  op.signature = sig;
-  op.bytes = bytes;
-  completion::set_state(op, completion::State::kStaged);
-  const std::array<std::uint32_t, kAsyncRequestWords> words{
-      pack_op_channel(opcode, ch.id), staging.addr(),
-      static_cast<std::uint32_t>(bytes), sig, op.token};
-  post_request(words, ch);
-  op.ls_bytes = static_cast<std::uint32_t>(bytes);
-  op.ls_addr = staging.disown();
-  completion::set_state(op, completion::State::kInFlight);
-  engine.track(&op);
 }
 
 /// Copies a settled read's staging out, frees local store, and converts a
@@ -245,20 +226,20 @@ void harvest_settled(PI_OP& op, const PI_CHANNEL& ch,
 
 }  // namespace
 
-void spe_channel_write(const PI_CHANNEL& ch, std::uint32_t sig,
-                       std::span<const std::byte> payload) {
+void spe_channel_op(completion::Kind kind, const PI_CHANNEL& ch,
+                    std::uint32_t sig, std::span<std::byte> data) {
   auto& engine = completion::Engine::local();
   if (engine.inflight() > 0) {
     // Async operations are outstanding, so every inbound-mailbox word is a
     // packed completion: the blocking op must travel the async opcode path
     // too, or its bare-status completion would be misread.
-    PI_OP* op = engine.create(completion::Kind::kWrite);
+    PI_OP* op = engine.create(kind);
     op->spe_side = true;
     op->blocking = true;
     op->channel = ch.id;
     try {
-      spe_submit(*op, Opcode::kWriteAsync, ch, sig, payload, payload.size());
-      spe_wait_channel_op(*op, ch, {});
+      spe_submit_channel_op(*op, ch, sig, data);
+      spe_wait_channel_op(*op, ch, data);  // copies out for a read only
     } catch (...) {
       engine.release(op);
       throw;
@@ -267,67 +248,58 @@ void spe_channel_write(const PI_CHANNEL& ch, std::uint32_t sig,
     return;
   }
 
-  const auto& e = env();
-  e.spe->clock().advance(e.cost->spu_call_overhead);
-
-  // Stage the message in local store.  (On hardware the user's buffer is
-  // already in local store; the staging copy is a simulation artifact and
-  // is not charged virtual time.)
-  Staging staging(payload.size());
-  if (!payload.empty()) {
-    std::memcpy(staging.ptr(), payload.data(), payload.size());
-  }
-  const CompletionStatus status =
-      request_and_wait(Opcode::kWrite, ch, staging.addr(),
-                       static_cast<std::uint32_t>(payload.size()), sig);
+  const simtime::SimTime begin = charge_spu_call();
+  Staging staging(data.size());
+  ready_request(staging, kind, ch, data, begin);
+  const std::array<std::uint32_t, kRequestWords> words{
+      pack_op_channel(is_write(kind) ? Opcode::kWrite : Opcode::kRead, ch.id),
+      staging.addr(), static_cast<std::uint32_t>(data.size()), sig};
+  post_request(words, ch);
+  const auto status =
+      static_cast<CompletionStatus>(cellsim::spu::spu_read_in_mbox());
   if (status != CompletionStatus::kOk) {
     throw_completion_error(status, ch);
   }
+  if (!is_write(kind) && !data.empty()) {
+    std::memcpy(data.data(), staging.ptr(), data.size());
+  }
 }
 
-void spe_channel_read(const PI_CHANNEL& ch, std::uint32_t sig,
-                      std::span<std::byte> out) {
+void spe_submit_channel_op(PI_OP& op, const PI_CHANNEL& ch,
+                           std::uint32_t sig,
+                           std::span<const std::byte> data) {
+  const simtime::SimTime begin = charge_spu_call();
   auto& engine = completion::Engine::local();
-  if (engine.inflight() > 0) {
-    PI_OP* op = engine.create(completion::Kind::kRead);
-    op->spe_side = true;
-    op->blocking = true;
-    op->channel = ch.id;
-    try {
-      spe_submit(*op, Opcode::kReadAsync, ch, sig, {}, out.size());
-      spe_wait_channel_op(*op, ch, out);
-    } catch (...) {
-      engine.release(op);
-      throw;
-    }
-    engine.release(op);
-    return;
+  // Harvest any words that already arrived, then enforce the in-flight
+  // cap that keeps the Co-Pilot's completion pushes non-blocking.
+  drain_available_completions(/*lenient=*/false);
+  if (engine.inflight() >=
+      static_cast<int>(cellsim::kInboundMailboxDepth)) {
+    throw pilot::PilotError(
+        pilot::ErrorCode::kUsage,
+        channel_label(ch) +
+            ": too many outstanding async operations on this SPE (the "
+            "inbound mailbox holds " +
+            std::to_string(cellsim::kInboundMailboxDepth) +
+            " completions; wait on a handle first)");
   }
 
-  const auto& e = env();
-  e.spe->clock().advance(e.cost->spu_call_overhead);
-
-  Staging staging(out.size());
-  const CompletionStatus status =
-      request_and_wait(Opcode::kRead, ch, staging.addr(),
-                       static_cast<std::uint32_t>(out.size()), sig);
-  if (status != CompletionStatus::kOk) {
-    throw_completion_error(status, ch);
-  }
-  if (!out.empty()) {
-    std::memcpy(out.data(), staging.ptr(), out.size());
-  }
-}
-
-void spe_submit_channel_write(PI_OP& op, const PI_CHANNEL& ch,
-                              std::uint32_t sig,
-                              std::span<const std::byte> payload) {
-  spe_submit(op, Opcode::kWriteAsync, ch, sig, payload, payload.size());
-}
-
-void spe_submit_channel_read(PI_OP& op, const PI_CHANNEL& ch,
-                             std::uint32_t sig, std::size_t bytes) {
-  spe_submit(op, Opcode::kReadAsync, ch, sig, {}, bytes);
+  Staging staging(data.size());
+  ready_request(staging, op.kind, ch, data, begin);
+  op.token = engine.next_token();
+  op.signature = sig;
+  op.bytes = data.size();
+  completion::set_state(op, completion::State::kStaged);
+  const std::array<std::uint32_t, kAsyncRequestWords> words{
+      pack_op_channel(
+          is_write(op.kind) ? Opcode::kWriteAsync : Opcode::kReadAsync,
+          ch.id),
+      staging.addr(), static_cast<std::uint32_t>(data.size()), sig, op.token};
+  post_request(words, ch);
+  op.ls_bytes = static_cast<std::uint32_t>(data.size());
+  op.ls_addr = staging.disown();
+  completion::set_state(op, completion::State::kInFlight);
+  engine.track(&op);
 }
 
 void spe_wait_channel_op(PI_OP& op, const PI_CHANNEL& ch,

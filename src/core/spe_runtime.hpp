@@ -4,8 +4,14 @@
 // messaging logic lives in the Co-Pilot, conserving local store) that
 //   * stages the message described by a PI_Write/PI_Read format into a
 //     local-store buffer,
-//   * issues the 4-word mailbox request to the node's Co-Pilot, and
-//   * stalls on the inbound mailbox for the completion word.
+//   * posts the request to the node's Co-Pilot through the outbound
+//     mailbox: 4 words for a blocking call, 5 for an async one (the fifth
+//     is a completion token), and
+//   * reads the inbound mailbox for the answer: a bare status word for a
+//     blocking call, a packed (status | token) word for an async one.
+// A blocking call made while async operations are in flight travels the
+// async opcodes (submit + wait), because every inbound word is then a
+// packed completion.
 // Its local-store footprint (protocol.hpp: kCellPilotSpuFootprintBytes,
 // modelled on the paper's 10 336-byte cellpilot.o) is reserved when an SPE
 // program starts, so user code sees the same 256 KB budget as on hardware.
@@ -60,14 +66,13 @@ int run_spe_body(std::uint64_t argp, SpeBody body);
 
 }  // namespace detail
 
-/// SPE-side blocking channel write: stage payload in local store, request
-/// the Co-Pilot, await completion.  Throws PilotError on protocol errors.
-void spe_channel_write(const PI_CHANNEL& ch, std::uint32_t sig,
-                       std::span<const std::byte> payload);
-
-/// SPE-side blocking channel read into `out` (exactly out.size() bytes).
-void spe_channel_read(const PI_CHANNEL& ch, std::uint32_t sig,
-                      std::span<std::byte> out);
+/// The SPE side of a blocking PI_Write (`kind` kWrite: `data` is the
+/// payload) or PI_Read (kRead: `data` receives exactly data.size() bytes):
+/// stages `data` in local store, requests the Co-Pilot and awaits the
+/// completion.  With metrics armed, a write pushes its latency-ledger
+/// stamp once nothing can refuse it.  Throws PilotError on protocol errors.
+void spe_channel_op(completion::Kind kind, const PI_CHANNEL& ch,
+                    std::uint32_t sig, std::span<std::byte> data);
 
 // --- async tier -----------------------------------------------------------
 //
@@ -78,15 +83,14 @@ void spe_channel_read(const PI_CHANNEL& ch, std::uint32_t sig,
 // the Co-Pilot deliver every completion without ever blocking on a full
 // mailbox of an SPE that is busy computing.
 
-/// Stages `payload` and issues an async write request.  On return `op` is
+/// Issues the async request of `op`, whose kind picks write or read: a
+/// write stages `data` as its payload; a read stages data.size() bytes for
+/// the Co-Pilot to fill, which the harvest copies out.  On return `op` is
 /// in flight (token assigned, local-store staging parked until harvest).
-void spe_submit_channel_write(PI_OP& op, const PI_CHANNEL& ch,
-                              std::uint32_t sig,
-                              std::span<const std::byte> payload);
-
-/// Issues an async read request for `bytes` payload bytes.
-void spe_submit_channel_read(PI_OP& op, const PI_CHANNEL& ch,
-                             std::uint32_t sig, std::size_t bytes);
+/// A submission refused by the in-flight cap pushes no latency stamp.
+void spe_submit_channel_op(PI_OP& op, const PI_CHANNEL& ch,
+                           std::uint32_t sig,
+                           std::span<const std::byte> data);
 
 /// Stalls until `op` settles, then harvests: copies a read's staging into
 /// `out` (out.size() == submitted bytes) and frees the local store.

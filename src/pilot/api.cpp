@@ -1,6 +1,9 @@
-// api.cpp — implementation of the public PI_* API (rank-side paths and
-// dispatch; SPE-side data movement calls the SPE runtime,
-// core/spe_runtime.hpp).
+// api.cpp — implementation of the public PI_* API.  Each data-plane call
+// has one send and one receive per side: rank_send / rank_receive move
+// frames over MiniMPI; spe_send / spe_receive marshal on the SPE and hand
+// the request to the SPE runtime (core/spe_runtime.hpp).  The blocking
+// calls and the collectives' legs record through record_write /
+// record_read, the async tier through record_submit / record_harvest.
 #include "pilot/pilot.hpp"
 
 #include <cstdarg>
@@ -82,6 +85,13 @@ cellpilot::Route& route_of(const PI_CHANNEL& ch, const char* file, int line) {
 std::uint32_t wire_signature(const cellpilot::FormatPlan& plan,
                              std::span<const std::uint32_t> counts) {
   return plan.has_star ? signature(plan.parsed, counts) : plan.wire_signature;
+}
+
+/// Signature a reader expects: precomputed for fully static formats,
+/// derived from the read plan's resolved counts for '*' formats.
+std::uint32_t read_signature(const cellpilot::FormatPlan& plan,
+                             const ReadPlan& read) {
+  return plan.has_star ? signature(read.fmt) : plan.wire_signature;
 }
 
 /// Overwrites the header slot at the front of `staging` ([header][payload]).
@@ -193,9 +203,10 @@ std::optional<PilotApp::ProcessFailure> dead_writer(PilotContext& ctx,
   return failure;
 }
 
-/// What a rank-side send put on the wire.
-struct RankSend {
-  const cellpilot::Route* rt = nullptr;
+/// What a transfer handed on: to the wire (rank_send) or to the SPE
+/// runtime (spe_send, spe_receive).
+struct Transfer {
+  cellpilot::Route* rt = nullptr;
   std::size_t payload_bytes = 0;
   std::uint32_t sig = 0;
   simtime::SimTime begin = 0;  ///< clock at the call, before its charge
@@ -205,7 +216,7 @@ struct RankSend {
 /// [header][payload] in the channel's reused buffer and sends it as one
 /// frame; rank-backed writers always MPI-send — to the reader's rank, or to
 /// the Co-Pilot standing in for a reading SPE.
-RankSend rank_send(PilotContext& ctx, const PI_CHANNEL& ch, const char* fmt,
+Transfer rank_send(PilotContext& ctx, const PI_CHANNEL& ch, const char* fmt,
                    va_list args, const char* file, int line) {
   require_endpoint(ctx.my_process, ch, /*writer=*/true, file, line);
   PilotApp& app = ctx.app();
@@ -220,7 +231,7 @@ RankSend rank_send(PilotContext& ctx, const PI_CHANNEL& ch, const char* fmt,
   const cellpilot::FormatPlan& plan = ws.formats.lookup(fmt);
   ws.staging.resize(sizeof(WireHeader));
   marshal_append(plan.parsed, args, ws.staging, ws.counts);
-  RankSend sent{&rt, ws.staging.size() - sizeof(WireHeader),
+  Transfer sent{&rt, ws.staging.size() - sizeof(WireHeader),
                 wire_signature(plan, ws.counts), ctx.mpi().clock().now()};
   charge_rank_call(ctx, sent.payload_bytes);
 
@@ -239,6 +250,14 @@ RankSend rank_send(PilotContext& ctx, const PI_CHANNEL& ch, const char* fmt,
   cellpilot::trace::ChannelCounters::global().add_message(ch.id,
                                                           sent.payload_bytes);
   return sent;
+}
+
+/// Byte-swaps a received payload for a big-endian writer and scatters it
+/// through `plan` into the reader's destinations.
+void deliver(const cellpilot::Route& rt, const ReadPlan& plan,
+             std::span<std::byte> payload) {
+  if (rt.writer_big_endian) swap_element_bytes(plan.fmt, payload);
+  scatter(plan, payload);
 }
 
 /// The rank-side receive of PI_Read, the read-handle harvest and
@@ -264,155 +283,157 @@ void rank_receive(PilotContext& ctx, const PI_CHANNEL& ch, std::uint32_t sig,
     throw_peer_failure(fault.status, fault.detail, ch, file, line);
   }
   check_frame(framed, sig, plan.payload_bytes, label + ch.name);
-  const std::span<std::byte> payload =
-      std::span(framed).subspan(sizeof(WireHeader));
-  if (rt.writer_big_endian) swap_element_bytes(plan.fmt, payload);
-  scatter(plan, payload);
+  deliver(rt, plan, std::span(framed).subspan(sizeof(WireHeader)));
+}
+
+namespace cp = cellpilot::completion;
+
+/// The SPE-side write of PI_Write (`op` null: blocking) and PI_WriteAsync
+/// (`op`: submitted, settled at harvest).  Marshals into the channel's
+/// reused buffer, byte-swaps it for a big-endian reader and hands it to the
+/// SPE runtime, which pushes the latency-ledger stamp once nothing can
+/// refuse the request.
+Transfer spe_send(const SpeDispatch& sd, const PI_CHANNEL& ch, const char* fmt,
+                  va_list args, PI_OP* op, const char* file, int line) {
+  require_endpoint(sd.process_id, ch, /*writer=*/true, file, line);
+  cellpilot::Route& rt = route_of(ch, file, line);
+  cellpilot::WriterState& ws = rt.writer;
+  const cellpilot::FormatPlan& plan = ws.formats.lookup(fmt);
+  ws.staging.clear();
+  marshal_append(plan.parsed, args, ws.staging, ws.counts);
+  const Transfer sent{&rt, ws.staging.size(),
+                      wire_signature(plan, ws.counts),
+                      cellsim::spu::self().clock().now()};
+  if (rt.writer_big_endian) {
+    swap_element_bytes(plan.parsed, ws.counts, ws.staging);
+  }
+  if (op == nullptr) {
+    cellpilot::spe_channel_op(cp::Kind::kWrite, ch, sent.sig, ws.staging);
+  } else {
+    cellpilot::spe_submit_channel_op(*op, ch, sent.sig, ws.staging);
+  }
+  cellpilot::trace::ChannelCounters::global().add_message(ch.id,
+                                                          sent.payload_bytes);
+  return sent;
+}
+
+/// Resolves a read's format through `rt`'s reader cache into `plan` and
+/// returns the signature the writer's frame must carry.
+std::uint32_t plan_read(cellpilot::Route& rt, const char* fmt, va_list args,
+                        ReadPlan& plan) {
+  const cellpilot::FormatPlan& fplan = rt.reader.formats.lookup(fmt);
+  build_read_plan_into(fplan.parsed, args, plan);
+  return read_signature(fplan, plan);
+}
+
+/// The SPE-side read of PI_Read (`op` null: blocking, into the channel's
+/// reused plan and staging, which the caller delivers) and PI_ReadAsync
+/// (`op`: submitted with its own plan and staging, delivered at harvest).
+Transfer spe_receive(const SpeDispatch& sd, const PI_CHANNEL& ch,
+                     const char* fmt, va_list args, PI_OP* op,
+                     const char* file, int line) {
+  require_endpoint(sd.process_id, ch, /*writer=*/false, file, line);
+  cellpilot::Route& rt = route_of(ch, file, line);
+  ReadPlan& plan = op != nullptr ? op->plan : rt.reader.plan;
+  std::vector<std::byte>& staging =
+      op != nullptr ? op->data : rt.reader.staging;
+  const std::uint32_t sig = plan_read(rt, fmt, args, plan);
+  const Transfer got{&rt, plan.payload_bytes, sig,
+                     cellsim::spu::self().clock().now()};
+  staging.resize(got.payload_bytes);
+  if (op == nullptr) {
+    cellpilot::spe_channel_op(cp::Kind::kRead, ch, got.sig, staging);
+  } else {
+    cellpilot::spe_submit_channel_op(*op, ch, got.sig, staging);
+  }
+  return got;
+}
+
+/// Records one blocking write (PI_Write on either side, a PI_Broadcast
+/// leg): its pilot_write / spe_write trace record and the telemetry sent
+/// counter.
+void record_write(simtime::tracebuf::Kind kind, const std::string& entity,
+                  const cellpilot::Route& rt, std::size_t bytes,
+                  simtime::SimTime begin, simtime::SimTime end) {
+  const auto route = static_cast<std::int8_t>(rt.type);
+  if (simtime::tracebuf::armed()) {
+    simtime::tracebuf::record(kind, entity, begin, end, bytes, rt.channel,
+                              route);
+  }
+  if (simtime::timeseries::armed()) {
+    simtime::timeseries::record(simtime::timeseries::Kind::kSent, route,
+                                rt.channel, entity, begin,
+                                static_cast<std::int64_t>(bytes));
+  }
+}
+
+/// Records one blocking read (PI_Read on either side, a PI_Gather leg),
+/// once its frame is known good: the pilot_read / spe_read trace record,
+/// the read_block metric, the message latency from the ledger, and the
+/// telemetry delivered counter.
+void record_read(simtime::tracebuf::Kind kind, const std::string& entity,
+                 const cellpilot::Route& rt, std::size_t bytes,
+                 simtime::SimTime begin, simtime::SimTime end) {
+  const auto route = static_cast<std::int8_t>(rt.type);
+  if (simtime::tracebuf::armed()) {
+    simtime::tracebuf::record(kind, entity, begin, end, bytes, rt.channel,
+                              route);
+  }
+  if (simtime::metrics::armed()) {
+    namespace sm = simtime::metrics;
+    sm::record(sm::Kind::kReadBlock, route, rt.channel, entity, end - begin);
+    simtime::SimTime write_begin = 0;
+    if (cellpilot::metrics::LatencyLedger::global().pop(rt.channel,
+                                                        &write_begin)) {
+      sm::record(sm::Kind::kMsgLatency, route, rt.channel, entity,
+                 end - write_begin);
+    }
+  }
+  if (simtime::timeseries::armed()) {
+    simtime::timeseries::record(simtime::timeseries::Kind::kDelivered, route,
+                                rt.channel, entity, end,
+                                static_cast<std::int64_t>(bytes));
+  }
 }
 
 void write_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
                 va_list args) {
   if (ch == nullptr) usage_error(file, line, "PI_Write: null channel");
-
-  // --- SPE-side writer ------------------------------------------------
   if (SpeDispatch* sd = spe_dispatch()) {
-    require_endpoint(sd->process_id, *ch, /*writer=*/true, file, line);
-    cellpilot::Route& rt = route_of(*ch, file, line);
-    cellpilot::WriterState& ws = rt.writer;
-    const cellpilot::FormatPlan& plan = ws.formats.lookup(fmt);
-    ws.staging.clear();
-    marshal_append(plan.parsed, args, ws.staging, ws.counts);
-    const std::uint32_t sig = wire_signature(plan, ws.counts);
-    if (rt.writer_big_endian) {
-      swap_element_bytes(plan.parsed, ws.counts, ws.staging);
-    }
-    const simtime::SimTime begin = cellsim::spu::self().clock().now();
-    // The latency ledger push happens *before* the SPE runtime hand-off so
-    // it happens-before any read completion of this message (the reader's
-    // pop can otherwise race a type-4/5 writer's host-side return).
-    if (simtime::metrics::armed()) {
-      cellpilot::metrics::LatencyLedger::global().push(ch->id, begin);
-    }
-    cellpilot::spe_channel_write(*ch, sig, ws.staging);
-    cellpilot::trace::ChannelCounters::global().add_message(ch->id,
-                                                            ws.staging.size());
-    if (simtime::tracebuf::armed()) {
-      simtime::tracebuf::record(simtime::tracebuf::Kind::kSpeWrite,
-                                cellsim::spu::self().name(), begin,
-                                cellsim::spu::self().clock().now(),
-                                ws.staging.size(), ch->id,
-                                static_cast<std::int8_t>(rt.type));
-    }
-    if (simtime::timeseries::armed()) {
-      simtime::timeseries::record(
-          simtime::timeseries::Kind::kSent,
-          static_cast<std::int8_t>(rt.type), ch->id,
-          cellsim::spu::self().name(), begin,
-          static_cast<std::int64_t>(ws.staging.size()));
-    }
+    const Transfer sent = spe_send(*sd, *ch, fmt, args, nullptr, file, line);
+    const cellsim::Spe& spe = cellsim::spu::self();
+    record_write(simtime::tracebuf::Kind::kSpeWrite, spe.name(), *sent.rt,
+                 sent.payload_bytes, sent.begin, spe.clock().now());
     return;
   }
-
-  // --- rank-side writer -------------------------------------------------
   PilotContext& ctx = ctx_in_phase(Phase::kExecution, "PI_Write", file, line);
-  const RankSend sent = rank_send(ctx, *ch, fmt, args, file, line);
-  const auto route = static_cast<std::int8_t>(sent.rt->type);
-  if (simtime::tracebuf::armed()) {
-    simtime::tracebuf::record(simtime::tracebuf::Kind::kPilotWrite,
-                              rank_entity(ctx), sent.begin,
-                              ctx.mpi().clock().now(), sent.payload_bytes,
-                              ch->id, route);
-  }
-  if (simtime::timeseries::armed()) {
-    simtime::timeseries::record(
-        simtime::timeseries::Kind::kSent, route, ch->id, rank_entity(ctx),
-        sent.begin, static_cast<std::int64_t>(sent.payload_bytes));
-  }
+  const Transfer sent = rank_send(ctx, *ch, fmt, args, file, line);
+  record_write(simtime::tracebuf::Kind::kPilotWrite, rank_entity(ctx),
+               *sent.rt, sent.payload_bytes, sent.begin,
+               ctx.mpi().clock().now());
 }
 
 void read_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
                va_list args) {
   if (ch == nullptr) usage_error(file, line, "PI_Read: null channel");
-
-  // --- SPE-side reader --------------------------------------------------
   if (SpeDispatch* sd = spe_dispatch()) {
-    require_endpoint(sd->process_id, *ch, /*writer=*/false, file, line);
-    cellpilot::Route& rt = route_of(*ch, file, line);
-    cellpilot::ReaderState& rs = rt.reader;
-    const cellpilot::FormatPlan& plan = rs.formats.lookup(fmt);
-    build_read_plan_into(plan.parsed, args, rs.plan);
-    const std::uint32_t sig =
-        plan.has_star ? signature(rs.plan.fmt) : plan.wire_signature;
-    rs.staging.resize(rs.plan.payload_bytes);
-    const simtime::SimTime begin = cellsim::spu::self().clock().now();
-    cellpilot::spe_channel_read(*ch, sig, rs.staging);
-    const simtime::SimTime end = cellsim::spu::self().clock().now();
-    if (simtime::tracebuf::armed()) {
-      simtime::tracebuf::record(simtime::tracebuf::Kind::kSpeRead,
-                                cellsim::spu::self().name(), begin, end,
-                                rs.staging.size(), ch->id,
-                                static_cast<std::int8_t>(rt.type));
-    }
-    if (simtime::metrics::armed()) {
-      namespace sm = simtime::metrics;
-      const std::string& entity = cellsim::spu::self().name();
-      const auto route = static_cast<std::int8_t>(rt.type);
-      sm::record(sm::Kind::kReadBlock, route, ch->id, entity, end - begin);
-      simtime::SimTime write_begin = 0;
-      if (cellpilot::metrics::LatencyLedger::global().pop(ch->id,
-                                                          &write_begin)) {
-        sm::record(sm::Kind::kMsgLatency, route, ch->id, entity,
-                   end - write_begin);
-      }
-    }
-    if (simtime::timeseries::armed()) {
-      simtime::timeseries::record(
-          simtime::timeseries::Kind::kDelivered,
-          static_cast<std::int8_t>(rt.type), ch->id,
-          cellsim::spu::self().name(), end,
-          static_cast<std::int64_t>(rs.staging.size()));
-    }
-    if (rt.writer_big_endian) swap_element_bytes(rs.plan.fmt, rs.staging);
-    scatter(rs.plan, rs.staging);
+    const Transfer got = spe_receive(*sd, *ch, fmt, args, nullptr, file, line);
+    const cellsim::Spe& spe = cellsim::spu::self();
+    record_read(simtime::tracebuf::Kind::kSpeRead, spe.name(), *got.rt,
+                got.payload_bytes, got.begin, spe.clock().now());
+    deliver(*got.rt, got.rt->reader.plan, got.rt->reader.staging);
     return;
   }
-
-  // --- rank-side reader ---------------------------------------------------
   PilotContext& ctx = ctx_in_phase(Phase::kExecution, "PI_Read", file, line);
   require_endpoint(ctx.my_process, *ch, /*writer=*/false, file, line);
   cellpilot::Route& rt = route_of(*ch, file, line);
-  cellpilot::ReaderState& rs = rt.reader;
-  const cellpilot::FormatPlan& plan = rs.formats.lookup(fmt);
-  build_read_plan_into(plan.parsed, args, rs.plan);
-  const std::uint32_t sig =
-      plan.has_star ? signature(rs.plan.fmt) : plan.wire_signature;
+  ReadPlan& plan = rt.reader.plan;
+  const std::uint32_t sig = plan_read(rt, fmt, args, plan);
   const simtime::SimTime call_begin = ctx.mpi().clock().now();
-  rank_receive(ctx, *ch, sig, rs.plan, "channel ", file, line);
-  charge_rank_call(ctx, rs.plan.payload_bytes);
-  const simtime::SimTime call_end = ctx.mpi().clock().now();
-  const std::string& entity = rank_entity(ctx);
-  const auto route = static_cast<std::int8_t>(rt.type);
-  if (simtime::tracebuf::armed()) {
-    simtime::tracebuf::record(simtime::tracebuf::Kind::kPilotRead, entity,
-                              call_begin, call_end, rs.plan.payload_bytes,
-                              ch->id, route);
-  }
-  if (simtime::metrics::armed()) {
-    namespace sm = simtime::metrics;
-    sm::record(sm::Kind::kReadBlock, route, ch->id, entity,
-               call_end - call_begin);
-    simtime::SimTime write_begin = 0;
-    if (cellpilot::metrics::LatencyLedger::global().pop(ch->id,
-                                                        &write_begin)) {
-      sm::record(sm::Kind::kMsgLatency, route, ch->id, entity,
-                 call_end - write_begin);
-    }
-  }
-  if (simtime::timeseries::armed()) {
-    simtime::timeseries::record(
-        simtime::timeseries::Kind::kDelivered, route, ch->id, entity,
-        call_end, static_cast<std::int64_t>(rs.plan.payload_bytes));
-  }
+  rank_receive(ctx, *ch, sig, plan, "channel ", file, line);
+  charge_rank_call(ctx, plan.payload_bytes);
+  record_read(simtime::tracebuf::Kind::kPilotRead, rank_entity(ctx), rt,
+              plan.payload_bytes, call_begin, ctx.mpi().clock().now());
 }
 
 // --- async tier -----------------------------------------------------------
@@ -426,8 +447,6 @@ void read_impl(const char* file, int line, PI_CHANNEL* ch, const char* fmt,
 // pilot_read / spe_write / spe_read / read_block), so a blocking-only
 // program's observability output is byte-identical with or without the
 // async tier in the build.
-
-namespace cp = cellpilot::completion;
 
 /// Checked handle -> operation: non-null, owned by the calling thread's
 /// engine, and not yet harvested.
@@ -520,6 +539,34 @@ void record_submit(const PI_OP& op, const std::string& entity,
   }
 }
 
+/// The SPE side of PI_WriteAsync / PI_ReadAsync: submits a `kind`
+/// operation through spe_send / spe_receive, registers it and records its
+/// op_submit.
+PI_OP* spe_submit(const SpeDispatch& sd, cp::Kind kind, const PI_CHANNEL& ch,
+                  const char* fmt, va_list args, const char* file, int line) {
+  cp::Engine& engine = cp::Engine::local();
+  PI_OP* op = engine.create(kind);
+  Transfer submitted;
+  try {
+    submitted = kind == cp::Kind::kWrite
+                    ? spe_send(sd, ch, fmt, args, op, file, line)
+                    : spe_receive(sd, ch, fmt, args, op, file, line);
+  } catch (...) {
+    engine.release(op);
+    throw;
+  }
+  op->channel = ch.id;
+  op->route_type = static_cast<std::int8_t>(submitted.rt->type);
+  op->spe_side = true;
+  op->file = file;
+  op->line = line;
+  op->submit_begin = submitted.begin;
+  const cellsim::Spe& spe = cellsim::spu::self();
+  cp::OpRegistry::global().add(op, spe.name());
+  record_submit(*op, spe.name(), spe.clock().now());
+  return op;
+}
+
 /// Rank-side harvest: retires a write handle, performs the deferred
 /// receive of a read handle.  Releases `op` on every path, throwing the
 /// recorded fault for faulted operations.
@@ -567,11 +614,9 @@ bool spe_harvest(SpeDispatch& sd, PI_OP& op, bool wait, const char* file,
   cp::Engine& engine = cp::Engine::local();
   PI_CHANNEL& ch = sd.app->channel(op.channel);
   const simtime::SimTime wait_begin = cellsim::spu::self().clock().now();
-  std::span<std::byte> out;
-  if (op.kind == cp::Kind::kRead) {
-    op.data.resize(op.bytes);
-    out = std::span(op.data);
-  }
+  // A read's staging was sized at submit (spe_receive).
+  const std::span<std::byte> out =
+      op.kind == cp::Kind::kRead ? std::span(op.data) : std::span<std::byte>();
   bool settled = true;
   try {
     if (wait) {
@@ -585,9 +630,7 @@ bool spe_harvest(SpeDispatch& sd, PI_OP& op, bool wait, const char* file,
   }
   if (!settled) return false;
   if (op.kind == cp::Kind::kRead) {
-    cellpilot::Route& rt = route_of(ch, file, line);
-    if (rt.writer_big_endian) swap_element_bytes(op.plan.fmt, out);
-    scatter(op.plan, out);
+    deliver(route_of(ch, file, line), op.plan, out);
   }
   record_harvest(op, ch, cellsim::spu::self().name(), wait_begin,
                  cellsim::spu::self().clock().now());
@@ -600,49 +643,12 @@ PI_HANDLE write_async_impl(const char* file, int line, PI_CHANNEL* ch,
   if (ch == nullptr) usage_error(file, line, "PI_WriteAsync: null channel");
   cp::Engine& engine = cp::Engine::local();
 
-  // --- SPE-side writer ----------------------------------------------------
   if (SpeDispatch* sd = spe_dispatch()) {
-    require_endpoint(sd->process_id, *ch, /*writer=*/true, file, line);
-    cellpilot::Route& rt = route_of(*ch, file, line);
-    cellpilot::WriterState& ws = rt.writer;
-    const cellpilot::FormatPlan& plan = ws.formats.lookup(fmt);
-    ws.staging.clear();
-    marshal_append(plan.parsed, args, ws.staging, ws.counts);
-    const std::uint32_t sig = wire_signature(plan, ws.counts);
-    if (rt.writer_big_endian) {
-      swap_element_bytes(plan.parsed, ws.counts, ws.staging);
-    }
-    PI_OP* op = engine.create(cp::Kind::kWrite);
-    op->channel = ch->id;
-    op->route_type = static_cast<std::int8_t>(rt.type);
-    op->spe_side = true;
-    op->file = file;
-    op->line = line;
-    op->submit_begin = cellsim::spu::self().clock().now();
-    // The ledger push happens before the SPE runtime hand-off, exactly like
-    // the blocking write (it must happen-before any read completion).
-    if (simtime::metrics::armed()) {
-      cellpilot::metrics::LatencyLedger::global().push(ch->id,
-                                                       op->submit_begin);
-    }
-    try {
-      cellpilot::spe_submit_channel_write(*op, *ch, sig, ws.staging);
-    } catch (...) {
-      engine.release(op);
-      throw;
-    }
-    cellpilot::trace::ChannelCounters::global().add_message(ch->id,
-                                                            ws.staging.size());
-    cp::OpRegistry::global().add(op, cellsim::spu::self().name());
-    record_submit(*op, cellsim::spu::self().name(),
-                  cellsim::spu::self().clock().now());
-    return op;
+    return spe_submit(*sd, cp::Kind::kWrite, *ch, fmt, args, file, line);
   }
-
-  // --- rank-side writer -----------------------------------------------------
   PilotContext& ctx =
       ctx_in_phase(Phase::kExecution, "PI_WriteAsync", file, line);
-  const RankSend sent = rank_send(ctx, *ch, fmt, args, file, line);
+  const Transfer sent = rank_send(ctx, *ch, fmt, args, file, line);
   PI_OP* op = engine.create(cp::Kind::kWrite);
   op->channel = ch->id;
   op->route_type = static_cast<std::int8_t>(sent.rt->type);
@@ -667,49 +673,20 @@ PI_HANDLE read_async_impl(const char* file, int line, PI_CHANNEL* ch,
   if (ch == nullptr) usage_error(file, line, "PI_ReadAsync: null channel");
   cp::Engine& engine = cp::Engine::local();
 
-  // --- SPE-side reader ----------------------------------------------------
   if (SpeDispatch* sd = spe_dispatch()) {
-    require_endpoint(sd->process_id, *ch, /*writer=*/false, file, line);
-    cellpilot::Route& rt = route_of(*ch, file, line);
-    const cellpilot::FormatPlan& plan = rt.reader.formats.lookup(fmt);
-    PI_OP* op = engine.create(cp::Kind::kRead);
-    build_read_plan_into(plan.parsed, args, op->plan);
-    const std::uint32_t sig =
-        plan.has_star ? signature(op->plan.fmt) : plan.wire_signature;
-    op->channel = ch->id;
-    op->route_type = static_cast<std::int8_t>(rt.type);
-    op->spe_side = true;
-    op->file = file;
-    op->line = line;
-    op->submit_begin = cellsim::spu::self().clock().now();
-    try {
-      cellpilot::spe_submit_channel_read(*op, *ch, sig,
-                                         op->plan.payload_bytes);
-    } catch (...) {
-      engine.release(op);
-      throw;
-    }
-    cp::OpRegistry::global().add(op, cellsim::spu::self().name());
-    record_submit(*op, cellsim::spu::self().name(),
-                  cellsim::spu::self().clock().now());
-    return op;
+    return spe_submit(*sd, cp::Kind::kRead, *ch, fmt, args, file, line);
   }
-
-  // --- rank-side reader -----------------------------------------------------
   PilotContext& ctx =
       ctx_in_phase(Phase::kExecution, "PI_ReadAsync", file, line);
   require_endpoint(ctx.my_process, *ch, /*writer=*/false, file, line);
   cellpilot::Route& rt = route_of(*ch, file, line);
-  const cellpilot::FormatPlan& plan = rt.reader.formats.lookup(fmt);
   PI_OP* op = engine.create(cp::Kind::kRead);
-  build_read_plan_into(plan.parsed, args, op->plan);
+  op->signature = plan_read(rt, fmt, args, op->plan);
   op->channel = ch->id;
   op->route_type = static_cast<std::int8_t>(rt.type);
   op->bytes = op->plan.payload_bytes;
   op->file = file;
   op->line = line;
-  op->signature =
-      plan.has_star ? signature(op->plan.fmt) : plan.wire_signature;
   const simtime::SimTime call_begin = ctx.mpi().clock().now();
   op->submit_begin = call_begin;
   charge_rank_call(ctx, 0);
@@ -1194,13 +1171,9 @@ void PI_Broadcast_(const char* file, int line, PI_BUNDLE* b, const char* fmt,
     ctx.mpi().send(framed.data(), framed.size(), rt.write_dest, rt.tag);
     cellpilot::trace::ChannelCounters::global().add_message(
         ch->id, framed.size() - sizeof(WireHeader));
-    if (simtime::tracebuf::armed()) {
-      simtime::tracebuf::record(
-          simtime::tracebuf::Kind::kPilotWrite,
-          ctx.app().cluster().world().info(ctx.rank()).name, leg_begin,
-          ctx.mpi().clock().now(), framed.size() - sizeof(WireHeader), ch->id,
-          static_cast<std::int8_t>(rt.type));
-    }
+    record_write(simtime::tracebuf::Kind::kPilotWrite, rank_entity(ctx), rt,
+                 framed.size() - sizeof(WireHeader), leg_begin,
+                 ctx.mpi().clock().now());
   }
 }
 
@@ -1216,8 +1189,7 @@ void PI_Gather_(const char* file, int line, PI_BUNDLE* b, const char* fmt,
   // The plan's destinations are the bases of per-contribution arrays; slot
   // i of each array receives channel i's payload.
   ReadPlan plan = build_read_plan(fplan.parsed, ap);
-  const std::uint32_t sig =
-      fplan.has_star ? signature(plan.fmt) : fplan.wire_signature;
+  const std::uint32_t sig = read_signature(fplan, plan);
 
   for (std::size_t i = 0; i < b->channels.size(); ++i) {
     PI_CHANNEL* ch = b->channels[i];
@@ -1231,29 +1203,12 @@ void PI_Gather_(const char* file, int line, PI_BUNDLE* b, const char* fmt,
     }
     const simtime::SimTime leg_begin = ctx.mpi().clock().now();
     rank_receive(ctx, *ch, sig, shifted, "gather channel ", file, line);
-    const simtime::SimTime leg_end = ctx.mpi().clock().now();
     // Recorded only once the frame is known good — point-to-point reads do
     // the same, so a faulted leg never produces a phantom pilot_read and
     // the offline write/read pairing (tools/tracestats) stays aligned with
     // the online latency ledger.
-    const auto route = static_cast<std::int8_t>(rt.type);
-    if (simtime::tracebuf::armed()) {
-      simtime::tracebuf::record(simtime::tracebuf::Kind::kPilotRead,
-                                rank_entity(ctx), leg_begin, leg_end,
-                                plan.payload_bytes, ch->id, route);
-    }
-    if (simtime::metrics::armed()) {
-      namespace sm = simtime::metrics;
-      const std::string& entity = rank_entity(ctx);
-      sm::record(sm::Kind::kReadBlock, route, ch->id, entity,
-                 leg_end - leg_begin);
-      simtime::SimTime write_begin = 0;
-      if (cellpilot::metrics::LatencyLedger::global().pop(ch->id,
-                                                          &write_begin)) {
-        sm::record(sm::Kind::kMsgLatency, route, ch->id, entity,
-                   leg_end - write_begin);
-      }
-    }
+    record_read(simtime::tracebuf::Kind::kPilotRead, rank_entity(ctx), rt,
+                plan.payload_bytes, leg_begin, ctx.mpi().clock().now());
   }
   charge_rank_call(ctx, plan.payload_bytes * b->channels.size());
 }

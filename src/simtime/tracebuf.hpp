@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "simtime/sim_time.hpp"
@@ -99,7 +100,12 @@ struct Event {
   std::int8_t route_type = 0;    ///< Table I type 1..5, 0 if unknown
   Kind kind = Kind::kUser;
   char entity[kEntityBytes] = {};  ///< NUL-terminated recorder name
+  /// Names the tail bytes, so an Event has no padding and two events with
+  /// equal fields compare equal bytewise (tests memcmp captured traces).
+  std::uint8_t tail[2] = {};
 };
+static_assert(std::has_unique_object_representations_v<Event>,
+              "an Event must hold no padding bytes");
 
 namespace detail {
 extern std::atomic<bool> g_armed;

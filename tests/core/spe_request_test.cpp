@@ -35,8 +35,9 @@ class SpeRequest : public ::testing::Test {
     return std::thread([this, &spe] {
       cellsim::spu::bind({&spe, &kCost, 0});
       try {
-        const std::array<std::byte, 16> payload{};
-        spe_channel_write(ch_, /*sig=*/0x5151, payload);
+        std::array<std::byte, 16> payload{};
+        spe_channel_op(completion::Kind::kWrite, ch_, /*sig=*/0x5151,
+                       payload);
       } catch (...) {
         error_ = std::current_exception();
       }

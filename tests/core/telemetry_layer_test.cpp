@@ -6,6 +6,7 @@
 // trace / metrics / flight-recorder sessions.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <string>
@@ -158,6 +159,74 @@ TEST(TelemetryLayer, CapturedJobRecordsTheCoreSeamKinds) {
   EXPECT_GE(mailbox, 1u) << "type 2 crosses the Co-Pilot ready queue";
   EXPECT_GE(service_busy, 1u);
   EXPECT_GE(pool, 2u) << "the SPE context spawns (1) and retires (0)";
+}
+
+// --- collectives: every leg counts --------------------------------------
+
+constexpr int kLegs = 3;
+// Every rank's configuration phase stores the same channel pointers here,
+// concurrently, so the stores are atomic.
+std::array<std::atomic<PI_CHANNEL*>, kLegs> g_down;
+std::array<std::atomic<PI_CHANNEL*>, kLegs> g_up;
+
+PI_SPE_PROGRAM(collective_worker) {
+  int v = 0;
+  PI_Read(g_down[arg1].load(), "%d", &v);  // broadcast leg
+  PI_Write(g_up[arg1].load(), "%d", v + arg1);  // gather leg
+  return 0;
+}
+
+TEST(TelemetryLayer, CollectiveLegsCountAsSentAndDelivered) {
+  ScopedTelemetryCapture capture;
+  cluster::Cluster machine = one_cell();
+  std::array<int, kLegs> gathered{};
+  unsigned long long messages = 0;
+  const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
+    PI_Configure(&argc, &argv);
+    PI_PROCESS* spes[kLegs];
+    PI_CHANNEL* down[kLegs];
+    PI_CHANNEL* up[kLegs];
+    for (int i = 0; i < kLegs; ++i) {
+      spes[i] = PI_CreateSPE(collective_worker, PI_MAIN, i);
+      down[i] = PI_CreateChannel(PI_MAIN, spes[i]);
+      up[i] = PI_CreateChannel(spes[i], PI_MAIN);
+      g_down[static_cast<std::size_t>(i)] = down[i];
+      g_up[static_cast<std::size_t>(i)] = up[i];
+    }
+    PI_BUNDLE* bcast = PI_CreateBundle(PI_BROADCAST, down, kLegs);
+    PI_BUNDLE* gather = PI_CreateBundle(PI_GATHER, up, kLegs);
+    PI_StartAll();
+    for (int i = 0; i < kLegs; ++i) PI_RunSPE(spes[i], i, nullptr);
+    PI_Broadcast(bcast, "%d", 40);
+    PI_Gather(gather, "%d", gathered.data());
+    PI_StopMain(0);
+    for (int i = 0; i < kLegs; ++i) {
+      PI_CHANNEL_STATS stats{};
+      EXPECT_EQ(PI_GetChannelStats(down[i], &stats), 0);
+      messages += stats.messages;
+      EXPECT_EQ(PI_GetChannelStats(up[i], &stats), 0);
+      messages += stats.messages;
+    }
+    return 0;
+  });
+  ASSERT_FALSE(r.aborted) << r.abort_reason;
+  ASSERT_TRUE(r.errors.empty()) << r.errors.front();
+  for (int i = 0; i < kLegs; ++i) {
+    EXPECT_EQ(gathered[static_cast<std::size_t>(i)], 40 + i);
+  }
+  ASSERT_EQ(messages, 2u * kLegs);
+
+  std::uint64_t sent = 0;
+  std::uint64_t delivered = 0;
+  for (const ts::Series& s : capture.drain()) {
+    for (const auto& [win, cell] : s.windows) {
+      (void)win;
+      if (s.key.kind == ts::Kind::kSent) sent += cell.count;
+      if (s.key.kind == ts::Kind::kDelivered) delivered += cell.count;
+    }
+  }
+  EXPECT_EQ(sent, messages) << "every broadcast leg is a sent message";
+  EXPECT_EQ(delivered, messages) << "every gather leg is a delivered message";
 }
 
 TEST(TelemetryDeterminism, TwoSeededRunsSerializeByteIdentically) {

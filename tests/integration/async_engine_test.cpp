@@ -14,15 +14,25 @@
 //  * PI_Select / PI_TrySelect on a bundle with a dead writer return that
 //    channel's index so the caller's PI_Read surfaces PI_SPE_FAULT /
 //    PI_COPILOT_FAULT — readiness includes "ready to fail", never a hang;
-//    PI_WaitAny / PI_SelectAny treat a read handle the same way.
+//    PI_WaitAny / PI_SelectAny treat a read handle the same way;
+//  * a refused submission leaves no latency-ledger stamp behind;
+//  * a blocking call made while a handle is in flight still works, and
+//    still records as a blocking call.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <string>
+#include <vector>
 
+#include "cellsim/spu.hpp"
 #include "core/cellpilot.hpp"
 #include "core/faultplan.hpp"
+#include "core/metrics.hpp"
+#include "core/trace.hpp"
 #include "pilot/errors.hpp"
+#include "simtime/metrics.hpp"
+#include "simtime/tracebuf.hpp"
 
 namespace {
 
@@ -30,14 +40,17 @@ using cellpilot::faults::FaultPlan;
 using pilot::ErrorCode;
 using pilot::PilotError;
 
-PI_CHANNEL* g_a = nullptr;
-PI_CHANNEL* g_b = nullptr;
-PI_CHANNEL* g_go = nullptr;
-PI_CHANNEL* g_go2 = nullptr;
-PI_CHANNEL* g_res = nullptr;
+// Every rank's configuration phase stores the same channel pointers here,
+// concurrently, so the stores are atomic.
+std::atomic<PI_CHANNEL*> g_a{nullptr};
+std::atomic<PI_CHANNEL*> g_b{nullptr};
+std::atomic<PI_CHANNEL*> g_go{nullptr};
+std::atomic<PI_CHANNEL*> g_go2{nullptr};
+std::atomic<PI_CHANNEL*> g_res{nullptr};
 std::atomic<PI_OP*> g_handle{nullptr};
 std::atomic<int> g_code{-1};
 std::atomic<int> g_cap_code{-1};
+std::atomic<int> g_held{-1};
 
 cluster::Cluster one_cell(unsigned ranks = 1) {
   cluster::ClusterConfig config;
@@ -52,6 +65,7 @@ class AsyncEngineTest : public ::testing::Test {
     g_handle.store(nullptr);
     g_code.store(-1);
     g_cap_code.store(-1);
+    g_held.store(-1);
   }
   ~AsyncEngineTest() override { FaultPlan::global().reset(); }
 };
@@ -171,6 +185,58 @@ TEST_F(AsyncEngineTest, FifthOutstandingSpeOperationIsAUsageError) {
   ASSERT_TRUE(r.errors.empty()) << r.errors.front();
   EXPECT_EQ(sum, 10 + 11 + 12 + 13) << "the four capped writes must land";
   EXPECT_EQ(g_cap_code.load(), static_cast<int>(ErrorCode::kUsage));
+}
+
+// --- a refused submission leaves no latency stamp -------------------------
+
+PI_SPE_PROGRAM(refused_then_blocking_writer) {
+  PI_HANDLE inflight[4];
+  for (int i = 0; i < 4; ++i) inflight[i] = PI_WriteAsync(g_a, "%d", i);
+  try {
+    (void)PI_WriteAsync(g_a, "%d", 99);  // fifth: over the mailbox depth
+  } catch (const PilotError& e) {
+    g_cap_code.store(static_cast<int>(e.code()));
+  }
+  for (int i = 0; i < 4; ++i) PI_Wait(inflight[i]);
+  cellsim::spu::self().clock().advance(simtime::ms(1));
+  PI_Write(g_a, "%d", 4);
+  return 0;
+}
+
+TEST_F(AsyncEngineTest, RefusedSubmissionLeavesNoLatencyStamp) {
+  cellpilot::metrics::ScopedMetricsCapture capture;
+  cluster::Cluster machine = one_cell();
+  int sum = 0;
+  const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
+    PI_Configure(&argc, &argv);
+    PI_PROCESS* spe = PI_CreateSPE(refused_then_blocking_writer, PI_MAIN, 0);
+    g_a = PI_CreateChannel(spe, PI_MAIN);
+    PI_StartAll();
+    PI_RunSPE(spe, 0, nullptr);
+    for (int i = 0; i < 5; ++i) {
+      int v = 0;
+      PI_Read(g_a, "%d", &v);
+      sum += v;
+    }
+    PI_StopMain(0);
+    return 0;
+  });
+  ASSERT_FALSE(r.aborted) << r.abort_reason;
+  ASSERT_TRUE(r.errors.empty()) << r.errors.front();
+  EXPECT_EQ(sum, 0 + 1 + 2 + 3 + 4);
+  EXPECT_EQ(g_cap_code.load(), static_cast<int>(ErrorCode::kUsage));
+
+  std::uint64_t samples = 0;
+  std::int64_t longest = 0;
+  for (const auto& s : capture.drain()) {
+    if (s.key.kind != simtime::metrics::Kind::kMsgLatency) continue;
+    samples += s.hist.count();
+    longest = std::max(longest, s.hist.max());
+  }
+  EXPECT_EQ(samples, 5u) << "one latency per delivered message";
+  // A stamp left by the refused write would pair the last read with a
+  // write begun before the writer's 1 ms pause.
+  EXPECT_LT(longest, simtime::ms(1));
 }
 
 // --- PI_WaitAny ------------------------------------------------------------
@@ -437,6 +503,76 @@ TEST_F(AsyncEngineTest, SelectSurfacesCopilotFaultInsteadOfHanging) {
                           << r.abort_reason;
   EXPECT_EQ(selected, 1) << "select must name the poisoned channel";
   EXPECT_EQ(read_code, static_cast<int>(PI_COPILOT_FAULT));
+}
+
+// --- a blocking call while a handle is in flight ----------------------------
+
+PI_SPE_PROGRAM(mixed_tier_spe) {
+  int held = 0;
+  // g_a is written only after the blocking calls below complete, so the
+  // handle stays in flight through both of them.
+  PI_HANDLE h = PI_ReadAsync(g_a, "%d", &held);
+  PI_Write(g_b, "%d", 21);
+  int v = 0;
+  PI_Read(g_go, "%d", &v);
+  PI_Wait(h);
+  g_code.store(v);
+  g_held.store(held);
+  return 0;
+}
+
+TEST_F(AsyncEngineTest, BlockingCallsWithAHandleInFlightRecordAsBlocking) {
+  cellpilot::trace::ScopedTraceCapture capture;
+  cluster::Cluster machine = one_cell();
+  int written = 0;
+  int ids[3] = {-1, -1, -1};  // g_a, g_b, g_go
+  const auto r = cellpilot::run(machine, [&](int argc, char** argv) {
+    PI_Configure(&argc, &argv);
+    PI_PROCESS* spe = PI_CreateSPE(mixed_tier_spe, PI_MAIN, 0);
+    g_a = PI_CreateChannel(PI_MAIN, spe);
+    g_b = PI_CreateChannel(spe, PI_MAIN);
+    g_go = PI_CreateChannel(PI_MAIN, spe);
+    PI_StartAll();
+    ids[0] = g_a.load()->id;
+    ids[1] = g_b.load()->id;
+    ids[2] = g_go.load()->id;
+    PI_RunSPE(spe, 0, nullptr);
+    PI_Read(g_b, "%d", &written);
+    PI_Write(g_go, "%d", 42);
+    PI_Write(g_a, "%d", 7);
+    PI_StopMain(0);
+    return 0;
+  });
+  ASSERT_FALSE(r.aborted) << r.abort_reason;
+  ASSERT_TRUE(r.errors.empty()) << r.errors.front();
+  EXPECT_EQ(written, 21);
+  EXPECT_EQ(g_code.load(), 42);
+  EXPECT_EQ(g_held.load(), 7);
+
+  namespace tb = simtime::tracebuf;
+  std::vector<std::pair<tb::Kind, int>> calls;  // (kind, channel)
+  int request_words = 0;
+  for (const tb::Event& e : capture.drain()) {
+    if (std::string(e.entity) != "node0.cell0.spe0") continue;
+    switch (e.kind) {
+      case tb::Kind::kSpeWrite:
+      case tb::Kind::kSpeRead:
+      case tb::Kind::kOpSubmit:
+        calls.emplace_back(e.kind, e.channel);
+        break;
+      case tb::Kind::kMboxPush: ++request_words; break;
+      default: break;
+    }
+  }
+  const std::vector<std::pair<tb::Kind, int>> expected = {
+      {tb::Kind::kOpSubmit, ids[0]},
+      {tb::Kind::kSpeWrite, ids[1]},
+      {tb::Kind::kSpeRead, ids[2]}};
+  EXPECT_EQ(calls, expected)
+      << "the blocking calls record spe_write/spe_read, never op_submit";
+  // Every inbound word is a packed completion while the handle is in
+  // flight, so the blocking calls post the 5-word async request too.
+  EXPECT_EQ(request_words, 3 * 5);
 }
 
 }  // namespace

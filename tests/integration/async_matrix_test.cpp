@@ -53,8 +53,10 @@ std::uint64_t payload_bytes(Payload p) {
 
 int g_type = 0;               ///< Table I type under test
 Payload g_payload = kZero;    ///< payload class under test
-PI_CHANNEL* g_data = nullptr; ///< the one channel of the job (id 0)
-PI_PROCESS* g_spe_r = nullptr;
+// Every rank's configuration phase stores these at once, so they are
+// atomic.
+std::atomic<PI_CHANNEL*> g_data{nullptr};  ///< the one channel (id 0)
+std::atomic<PI_PROCESS*> g_spe_r{nullptr};
 std::atomic<bool> g_ok{false};
 
 void write_payload_async() {
