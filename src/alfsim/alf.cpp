@@ -57,18 +57,18 @@ void Task::add_work_block(const void* in, void* out) {
     throw std::invalid_argument("alf: add_work_block after finalize");
   }
   queue_.push_back(WorkBlock{in, out});
-  cv_.notify_one();
+  work_.wake_one();
 }
 
 void Task::finalize() {
   std::lock_guard lock(mu_);
   finalized_ = true;
-  cv_.notify_all();
+  work_.wake_all();
 }
 
 bool Task::pop_block(WorkBlock* out) {
   std::unique_lock lock(mu_);
-  cv_.wait(lock, [&] { return finalized_ || !queue_.empty(); });
+  work_.wait(lock, [&] { return finalized_ || !queue_.empty(); });
   if (queue_.empty()) return false;
   *out = queue_.front();
   queue_.pop_front();
@@ -168,7 +168,7 @@ void Task::wait() {
   {
     std::lock_guard lock(mu_);
     finalized_ = true;
-    cv_.notify_all();
+    work_.wake_all();
     if (joined_) return;
     joined_ = true;
   }

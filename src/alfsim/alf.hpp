@@ -14,7 +14,6 @@
 // motivated CellPilot.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -24,6 +23,7 @@
 
 #include "cellsim/cell.hpp"
 #include "simtime/cost_model.hpp"
+#include "simtime/hostwait.hpp"
 
 namespace alf {
 
@@ -95,7 +95,7 @@ class Task {
   TaskDesc desc_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  simtime::Park work_;
   std::deque<WorkBlock> queue_;
   bool finalized_ = false;
   std::uint64_t processed_ = 0;

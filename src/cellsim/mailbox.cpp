@@ -13,53 +13,31 @@ std::size_t Mailbox::count() const {
   return std::min(fifo_.size(), capacity_);
 }
 
-std::size_t Mailbox::free_slots() const {
-  std::lock_guard lock(mu_);
-  return capacity_ - std::min(fifo_.size(), capacity_);
-}
-
 void Mailbox::push_blocking(std::span<const MailboxEntry> entries) {
   if (entries.empty()) return;
-  {
-    std::unique_lock lock(mu_);
-    not_full_.wait(lock, [&] { return closed_ || fifo_.size() < capacity_; });
-    if (closed_) throw MailboxFault("push on closed mailbox");
-    fifo_.insert(fifo_.end(), entries.begin(), entries.end());
-    not_empty_.notify_one();
-  }
-  ring();
+  std::unique_lock lock(mu_);
+  not_full_.wait(lock, [&] { return closed_ || fifo_.size() < capacity_; });
+  if (closed_) throw MailboxFault("push on closed mailbox");
+  fifo_.insert(fifo_.end(), entries.begin(), entries.end());
+  not_empty_.wake_one(lock);
 }
 
 bool Mailbox::try_push(std::uint32_t value, simtime::SimTime stamp) {
-  {
-    std::lock_guard lock(mu_);
-    if (closed_) throw MailboxFault("push on closed mailbox");
-    if (fifo_.size() >= capacity_) return false;
-    fifo_.push_back(MailboxEntry{value, stamp});
-    not_empty_.notify_one();
-  }
-  ring();
+  std::unique_lock lock(mu_);
+  if (closed_) throw MailboxFault("push on closed mailbox");
+  if (fifo_.size() >= capacity_) return false;
+  fifo_.push_back(MailboxEntry{value, stamp});
+  not_empty_.wake_one(lock);
   return true;
 }
 
 MailboxEntry Mailbox::pop_blocking() {
   std::unique_lock lock(mu_);
-  if (!closed_ && fifo_.empty()) {
-    reader_waiting_.store(true, std::memory_order_release);
-    if (doorbell_ != nullptr) {
-      // The reader just became quiescent, which a parked service watching
-      // reader_waiting() must see to let its peers run on.
-      lock.unlock();
-      doorbell_->ring();
-      lock.lock();
-    }
-    not_empty_.wait(lock, [&] { return closed_ || !fifo_.empty(); });
-    reader_waiting_.store(false, std::memory_order_release);
-  }
+  not_empty_.wait(lock, [&] { return closed_ || !fifo_.empty(); });
   if (fifo_.empty()) throw MailboxFault("pop on closed mailbox");
   MailboxEntry e = fifo_.front();
   fifo_.pop_front();
-  not_full_.notify_one();
+  not_full_.wake_one();
   return e;
 }
 
@@ -77,18 +55,15 @@ std::optional<MailboxEntry> Mailbox::try_pop() {
   }
   MailboxEntry e = fifo_.front();
   fifo_.pop_front();
-  not_full_.notify_one();
+  not_full_.wake_one();
   return e;
 }
 
 void Mailbox::close() {
-  {
-    std::lock_guard lock(mu_);
-    closed_ = true;
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-  ring();
+  std::unique_lock lock(mu_);
+  closed_ = true;
+  not_full_.wake_all();
+  not_empty_.wake_all(lock);
 }
 
 bool Mailbox::closed() const {

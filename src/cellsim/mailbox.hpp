@@ -6,8 +6,8 @@
 //   * outbound-interrupt (SPE -> PPE, raises an interrupt), 1 entry deep.
 // Entries are 32-bit words.  An SPU write to a full outbound mailbox and an
 // SPU read from an empty inbound mailbox *stall the SPU* — modelled here as
-// blocking on a condition variable.  The PPE side either polls or, like the
-// Co-Pilot, parks on a doorbell that the mailboxes it watches ring.
+// a simtime::Park.  The PPE side either polls or, like the Co-Pilot, parks
+// on a doorbell that the mailboxes it watches ring.
 //
 // Virtual time: every entry carries the sender's virtual timestamp at
 // completion of the send; the receiver joins its clock with that stamp.  The
@@ -16,8 +16,6 @@
 // model purely functional.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -54,7 +52,7 @@ class Mailbox {
 
   /// Number of free slots (hardware "status" register read); 0 while a
   /// post holds the FIFO at or past its depth.
-  std::size_t free_slots() const;
+  std::size_t free_slots() const { return capacity_ - count(); }
 
   /// Blocking write of a whole post: waits while full (the SPU stalling on
   /// a full outbound channel), then appends every entry in order, wakes
@@ -86,14 +84,9 @@ class Mailbox {
   /// Used for simulated-node teardown; real hardware has no equivalent.
   void close();
 
-  /// True while a reader is asleep in pop_blocking with an empty FIFO.
-  /// Together with earliest_stamp(), this lets a conservative scheduler
-  /// (the Co-Pilot) decide whether the SPU behind this mailbox can still
-  /// produce an early-stamped event: asleep-and-empty means it can only be
-  /// woken by a future deposit.
-  bool reader_waiting() const {
-    return reader_waiting_.load(std::memory_order_acquire);
-  }
+  /// True while a reader sleeps in pop_blocking and nothing was pushed
+  /// since: with earliest_stamp(), how the Co-Pilot bounds the SPU's stamps.
+  bool reader_waiting() const { return not_empty_.parked(); }
 
   /// Virtual stamp of the oldest queued entry, if any.
   std::optional<simtime::SimTime> earliest_stamp() const;
@@ -101,22 +94,15 @@ class Mailbox {
   /// Whether close() has been called.
   bool closed() const;
 
-  /// Rings `bell` after every push and close(), and when a reader starts
-  /// to wait in pop_blocking(), each time once the lock is released.  Set
-  /// before any thread uses the mailbox; null (the default) rings nothing.
-  void set_doorbell(simtime::Doorbell* bell) { doorbell_ = bell; }
+  /// The reader's Park watcher: rung after every push and close(), and
+  /// when a reader falls asleep in pop_blocking().
+  void set_doorbell(simtime::Doorbell* bell) { not_empty_.set_watcher(bell); }
 
  private:
-  void ring() {
-    if (doorbell_ != nullptr) doorbell_->ring();
-  }
-
   const std::size_t capacity_;
-  simtime::Doorbell* doorbell_ = nullptr;
-  std::atomic<bool> reader_waiting_{false};
   mutable std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
+  simtime::Park not_full_;
+  simtime::Park not_empty_;
   std::deque<MailboxEntry> fifo_;
   bool closed_ = false;
 };

@@ -8,7 +8,7 @@ void SignalRegister::send(std::uint32_t bits, simtime::SimTime stamp) {
   std::lock_guard lock(mu_);
   bits_ = or_mode_ ? (bits_ | bits) : bits;
   stamp_ = std::max(stamp_, stamp);
-  if (bits_ != 0) nonzero_.notify_all();
+  if (bits_ != 0) nonzero_.wake_all();
 }
 
 SignalRegister::Received SignalRegister::read_blocking() {

@@ -8,10 +8,10 @@
 // Hand-coded SPE-to-SPE baselines use these for completion handshakes.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 
+#include "simtime/hostwait.hpp"
 #include "simtime/sim_time.hpp"
 
 namespace cellsim {
@@ -42,7 +42,7 @@ class SignalRegister {
  private:
   const bool or_mode_;
   mutable std::mutex mu_;
-  std::condition_variable nonzero_;
+  simtime::Park nonzero_;
   std::uint32_t bits_ = 0;
   simtime::SimTime stamp_ = simtime::kSimTimeZero;
 };

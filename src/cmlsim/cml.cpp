@@ -1,7 +1,5 @@
 #include "cmlsim/cml.hpp"
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -12,6 +10,7 @@
 #include "cellsim/spu.hpp"
 #include "mpisim/launcher.hpp"
 #include "mpisim/mpi.hpp"
+#include "simtime/hostwait.hpp"
 
 namespace cml {
 namespace {
@@ -36,10 +35,17 @@ constexpr int pair_tag(int src, int dst) { return src * 16384 + dst; }
 struct Job {
   explicit Job(const JobConfig& config)
       : cfg(config),
-        world(make_ranks(config), cfg.cost) {
+        world(make_ranks(config), cfg.cost),
+        bells(static_cast<std::size_t>(config.nodes)) {
     for (int n = 0; n < cfg.nodes; ++n) {
       blades.push_back(std::make_unique<cellsim::CellBlade>(
           "cml" + std::to_string(n), cfg.cost, cfg.spes_per_node));
+      // A daemon's ring sources: its SPEs and its rank's queue.
+      simtime::Doorbell* bell = &bells[static_cast<std::size_t>(n)];
+      for (unsigned s = 0; s < cfg.spes_per_node; ++s) {
+        blades.back()->spe(s).set_doorbell(bell);
+      }
+      world.queue(n).set_doorbell(bell);
     }
     world.on_abort([this] {
       for (auto& b : blades) b->shutdown();
@@ -76,6 +82,7 @@ struct Job {
   JobConfig cfg;
   std::vector<std::unique_ptr<cellsim::CellBlade>> blades;
   mpisim::World world;
+  std::vector<simtime::Doorbell> bells;  ///< one per node's daemon
 };
 
 /// SPE-thread binding.
@@ -115,7 +122,9 @@ class Daemon {
         assembly_(job.cfg.spes_per_node) {}
 
   int run() {
+    simtime::Doorbell& bell = job_.bells[static_cast<std::size_t>(node_)];
     for (;;) {
+      const std::uint32_t seen = bell.announce();
       bool progress = false;
       if (mpi_.iprobe(mpisim::kAnySource, kTagShutdown)) {
         std::uint8_t poison = 0;
@@ -147,9 +156,8 @@ class Daemon {
           ++it;
         }
       }
-      if (!progress) {
-        std::this_thread::sleep_for(std::chrono::microseconds(40));
-      }
+      // Idle: a ring since announce() makes the park return at once.
+      if (!progress) bell.park(seen);
     }
   }
 

@@ -3,24 +3,18 @@
 namespace mpisim {
 
 void MatchQueue::deposit(InboundMessage msg) {
-  {
-    std::lock_guard lock(mu_);
-    if (aborted_) return;  // job is dying; drop silently
-    Lane* target = exact_lane(msg.source, msg.tag);
-    if (target == nullptr) {
-      std::unique_ptr<Lane>& slot = lanes_[key(msg.source, msg.tag)];
-      slot = std::make_unique<Lane>(Lane{msg.source, msg.tag, 0, {}});
-      target = slot.get();
-      by_tag_[msg.tag].push_back(target);
-    }
-    target->fifo.push_back({next_seq_++, std::move(msg)});
-    ++pending_;
-    // The sleeper may now wake and send; it is not quiescent until it has
-    // looked at this message and gone back to sleep.
-    waiting_.store(false, std::memory_order_release);
-    arrived_.notify_all();
+  std::unique_lock lock(mu_);
+  if (aborted_) return;  // job is dying; drop silently
+  Lane* target = exact_lane(msg.source, msg.tag);
+  if (target == nullptr) {
+    std::unique_ptr<Lane>& slot = lanes_[key(msg.source, msg.tag)];
+    slot = std::make_unique<Lane>(Lane{msg.source, msg.tag, 0, {}});
+    target = slot.get();
+    by_tag_[msg.tag].push_back(target);
   }
-  ring();
+  target->fifo.push_back({next_seq_++, std::move(msg)});
+  ++pending_;
+  arrived_.wake_all(lock);
 }
 
 MatchQueue::Lane* MatchQueue::exact_lane(Rank source, int tag) const {
@@ -74,7 +68,7 @@ InboundMessage MatchQueue::pop(Lane& lane) {
 InboundMessage MatchQueue::match_blocking(Rank source, int tag) {
   std::unique_lock lock(mu_);
   Lane* lane = nullptr;
-  wait_flagged(lock, [&] {
+  arrived_.wait(lock, [&] {
     if (aborted_) return true;
     lane = find(source, tag);
     return lane != nullptr;
@@ -92,49 +86,39 @@ std::optional<InboundMessage> MatchQueue::try_match(Rank source, int tag) {
 }
 
 std::optional<Envelope> MatchQueue::probe(Rank source, int tag) const {
-  std::lock_guard lock(mu_);
-  if (aborted_) throw WorldAborted(abort_reason_);
-  const Lane* lane = find(source, tag);
-  if (lane == nullptr) return std::nullopt;
-  return envelope(lane->front().msg);
+  const Pattern pattern{source, tag};
+  const auto hit = try_probe_any({&pattern, 1});
+  if (!hit) return std::nullopt;
+  return hit->second;
 }
 
 Envelope MatchQueue::probe_blocking(Rank source, int tag) {
-  std::unique_lock lock(mu_);
-  const Lane* lane = nullptr;
-  wait_flagged(lock, [&] {
-    if (aborted_) return true;
-    lane = find(source, tag);
-    return lane != nullptr;
-  });
-  if (aborted_) throw WorldAborted(abort_reason_);
-  return envelope(lane->front().msg);
+  const Pattern pattern{source, tag};
+  return probe_any_blocking({&pattern, 1}).second;
 }
 
 std::pair<std::size_t, Envelope> MatchQueue::probe_any_blocking(
     std::span<const Pattern> patterns) {
   std::unique_lock lock(mu_);
-  std::size_t hit_pattern = 0;
-  const Lane* hit = nullptr;
-  wait_flagged(lock, [&] {
+  std::optional<std::pair<std::size_t, Envelope>> hit;
+  arrived_.wait(lock, [&] {
     if (aborted_) return true;
-    for (std::size_t p = 0; p < patterns.size(); ++p) {
-      hit = find(patterns[p].source, patterns[p].tag);
-      if (hit != nullptr) {
-        hit_pattern = p;
-        return true;
-      }
-    }
-    return false;
+    hit = first(patterns);
+    return hit.has_value();
   });
   if (aborted_) throw WorldAborted(abort_reason_);
-  return {hit_pattern, envelope(hit->front().msg)};
+  return *hit;
 }
 
 std::optional<std::pair<std::size_t, Envelope>> MatchQueue::try_probe_any(
     std::span<const Pattern> patterns) const {
   std::lock_guard lock(mu_);
   if (aborted_) throw WorldAborted(abort_reason_);
+  return first(patterns);
+}
+
+std::optional<std::pair<std::size_t, Envelope>> MatchQueue::first(
+    std::span<const Pattern> patterns) const {
   for (std::size_t p = 0; p < patterns.size(); ++p) {
     if (const Lane* lane = find(patterns[p].source, patterns[p].tag)) {
       return {{p, envelope(lane->front().msg)}};
@@ -149,13 +133,10 @@ std::size_t MatchQueue::pending() const {
 }
 
 void MatchQueue::abort(const std::string& reason) {
-  {
-    std::lock_guard lock(mu_);
-    aborted_ = true;
-    abort_reason_ = reason;
-    arrived_.notify_all();
-  }
-  ring();
+  std::unique_lock lock(mu_);
+  aborted_ = true;
+  abort_reason_ = reason;
+  arrived_.wake_all(lock);
 }
 
 }  // namespace mpisim

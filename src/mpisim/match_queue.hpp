@@ -12,8 +12,6 @@
 // queue scanned front to back gives, at a cost independent of queue depth.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -86,18 +84,14 @@ class alignas(64) MatchQueue {
   /// makes future blocking calls throw likewise.
   void abort(const std::string& reason);
 
-  /// True while the owning rank is asleep inside a blocking match/probe
-  /// and nothing has been deposited since it fell asleep.  A blocked rank
-  /// cannot initiate sends, so conservative schedulers (the Co-Pilot's
-  /// virtual-time event ordering) treat it as quiescent; a deposit clears
-  /// the flag at once, since the sleeper it wakes may send.
-  bool waiting() const { return waiting_.load(std::memory_order_acquire); }
+  /// True while the owning rank sleeps in a blocking match/probe and
+  /// nothing was deposited since: it cannot send, so World::quiescent()
+  /// counts it as quiescent.
+  bool waiting() const { return arrived_.parked(); }
 
-  /// Rings `bell` after every deposit and abort(), once the lock is
-  /// released: the owning rank parks on it instead of in a blocking call.
-  /// Set before any thread uses the queue; null (the default) rings
-  /// nothing.
-  void set_doorbell(simtime::Doorbell* bell) { doorbell_ = bell; }
+  /// The owner's Park watcher: rung after every deposit and abort(), so
+  /// an owner that parks on `bell` needs no blocking call.
+  void set_doorbell(simtime::Doorbell* bell) { arrived_.set_watcher(bell); }
 
  private:
   /// The queued messages of one (source, tag) pair, oldest first:
@@ -134,29 +128,16 @@ class alignas(64) MatchQueue {
   Lane* find(Rank source, int tag) const;
   /// Removes and returns the head of a non-empty lane.  Caller holds mu_.
   InboundMessage pop(Lane& lane);
-
-  /// Waits on arrived_ with the waiting_ flag raised while asleep.
-  template <typename Pred>
-  void wait_flagged(std::unique_lock<std::mutex>& lock, Pred&& pred) {
-    while (!pred()) {
-      waiting_.store(true, std::memory_order_release);
-      arrived_.wait(lock);
-      waiting_.store(false, std::memory_order_release);
-    }
-  }
-
-  void ring() {
-    if (doorbell_ != nullptr) doorbell_->ring();
-  }
+  /// try_probe_any() with mu_ held.
+  std::optional<std::pair<std::size_t, Envelope>> first(
+      std::span<const Pattern> patterns) const;
 
   mutable std::mutex mu_;
   std::uint64_t next_seq_ = 0;
   std::size_t pending_ = 0;
-  simtime::Doorbell* doorbell_ = nullptr;
-  std::condition_variable arrived_;
+  simtime::Park arrived_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Lane>> lanes_;
   std::unordered_map<int, std::vector<Lane*>> by_tag_;  // (kAnySource, tag)
-  std::atomic<bool> waiting_{false};
   bool aborted_ = false;
   std::string abort_reason_;
 };

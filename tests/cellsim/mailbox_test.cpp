@@ -73,6 +73,20 @@ TEST(Mailbox, BlockingPopStallsUntilDataArrives) {
   EXPECT_EQ(got, 42u);
 }
 
+TEST(Mailbox, PushEndsTheReadersQuiescence) {
+  // A reader a push wakes may act at once, so from the push on it must not
+  // read as waiting, even before its thread has run.
+  Mailbox m(4);
+  std::thread reader([&] { m.pop_blocking(); });
+  while (!m.reader_waiting()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  m.push_blocking(42, 0);
+  EXPECT_FALSE(m.reader_waiting());
+  reader.join();
+  EXPECT_FALSE(m.reader_waiting());
+}
+
 TEST(Mailbox, CloseWakesBlockedReaderWithFault) {
   Mailbox m(4);
   std::exception_ptr seen;

@@ -30,9 +30,9 @@ cluster::Cluster two_cells() {
 }
 
 // Shared app state.
-PI_CHANNEL* g_down = nullptr;  // rank/SPE -> SPE
-PI_CHANNEL* g_up = nullptr;    // SPE -> rank/SPE
-PI_PROCESS* g_remote_spe = nullptr;
+std::atomic<PI_CHANNEL*> g_down{nullptr};  // rank/SPE -> SPE
+std::atomic<PI_CHANNEL*> g_up{nullptr};    // SPE -> rank/SPE
+std::atomic<PI_PROCESS*> g_remote_spe{nullptr};
 std::atomic<long long> g_sum{0};
 std::atomic<int> g_runs{0};
 
@@ -235,7 +235,7 @@ TEST(CellPilot, SpeProcessesCanRunRepeatedlyReusingHardware) {
   EXPECT_EQ(g_runs.load(), 40);
 }
 
-PI_CHANNEL* g_hold[3];
+std::array<std::atomic<PI_CHANNEL*>, 3> g_hold;
 
 PI_SPE_PROGRAM(hold_spe) {
   int v = 0;

@@ -243,9 +243,10 @@ TEST_F(CheckpointSessionTest, DisarmedSessionIsInertAndFree) {
 
 // --- frontier consistency across a real two-blade run --------------------
 
-PI_CHANNEL* g_cross = nullptr;  ///< SPE(node0) -> SPE(node1), cross-blade
-PI_CHANNEL* g_sum = nullptr;    ///< reader SPE -> PI_MAIN
-PI_PROCESS* g_reader = nullptr;
+/// SPE(node0) -> SPE(node1), cross-blade.
+std::atomic<PI_CHANNEL*> g_cross{nullptr};
+std::atomic<PI_CHANNEL*> g_sum{nullptr};  ///< reader SPE -> PI_MAIN
+std::atomic<PI_PROCESS*> g_reader{nullptr};
 std::atomic<int> g_sum_value{-1};
 
 constexpr int kFrontierBurst = 24;

@@ -21,7 +21,7 @@ namespace {
 using cellpilot::faults::FaultPlan;
 using cellpilot::flightrec::FlightRecorder;
 
-PI_CHANNEL* g_ch = nullptr;
+std::atomic<PI_CHANNEL*> g_ch{nullptr};
 std::atomic<int> g_main_code{-1};
 
 cluster::Cluster one_cell() {
@@ -121,8 +121,8 @@ TEST_F(FlightRecTest, DisarmedRecorderWritesNothing) {
   EXPECT_EQ(FlightRecorder::global().dump_count(), 0);
 }
 
-PI_CHANNEL* g_pending_go = nullptr;
-PI_CHANNEL* g_pending_out = nullptr;
+std::atomic<PI_CHANNEL*> g_pending_go{nullptr};
+std::atomic<PI_CHANNEL*> g_pending_out{nullptr};
 
 PI_SPE_PROGRAM(gated_pending_writer) {
   PI_Read(g_pending_go, "");  // hold the rank's async read in flight
@@ -168,9 +168,9 @@ TEST_F(FlightRecTest, PostmortemListsPendingOperationsBesideTheEventTail) {
   std::remove(path.c_str());
 }
 
-PI_CHANNEL* g_blade_go = nullptr;
-PI_CHANNEL* g_blade_out = nullptr;
-PI_CHANNEL* g_blade_burst = nullptr;
+std::atomic<PI_CHANNEL*> g_blade_go{nullptr};
+std::atomic<PI_CHANNEL*> g_blade_out{nullptr};
+std::atomic<PI_CHANNEL*> g_blade_burst{nullptr};
 
 PI_SPE_PROGRAM(blade_gated_responder) {
   // Blocks until the master writes — which it never does before the blade

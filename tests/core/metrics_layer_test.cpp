@@ -87,7 +87,7 @@ TEST(LatencyLedgerTest, FifoPerChannelAndRangeChecked) {
 
 // --- end-to-end: a type-2 job under a scoped capture ---------------------
 
-PI_CHANNEL* g_ch = nullptr;
+std::atomic<PI_CHANNEL*> g_ch{nullptr};
 std::atomic<int> g_value{0};
 
 PI_SPE_PROGRAM(writes_one_int) {

@@ -5,6 +5,7 @@
 // run alone.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -19,7 +20,7 @@
 
 namespace {
 
-PI_CHANNEL* g_ch = nullptr;
+std::atomic<PI_CHANNEL*> g_ch{nullptr};
 
 cluster::Cluster one_cell() {
   cluster::ClusterConfig config;

@@ -17,8 +17,8 @@ cluster::Cluster one_cell() {
   return cluster::Cluster(std::move(config));
 }
 
-PI_CHANNEL* g_ch = nullptr;
-PI_CHANNEL* g_ch2 = nullptr;
+std::atomic<PI_CHANNEL*> g_ch{nullptr};
+std::atomic<PI_CHANNEL*> g_ch2{nullptr};
 std::atomic<std::uint32_t> g_status{0};
 
 PI_SPE_PROGRAM(throwing_spe) {

@@ -236,8 +236,8 @@ constexpr int kStrips = 8;
 constexpr simtime::SimTime kComputePerStrip = simtime::us(400);
 
 int g_workers = 1;
-PI_CHANNEL* g_task[4];
-PI_CHANNEL* g_sum[4];
+std::array<std::atomic<PI_CHANNEL*>, 4> g_task;
+std::array<std::atomic<PI_CHANNEL*>, 4> g_sum;
 std::atomic<simtime::SimTime> g_elapsed{0};
 
 PI_SPE_PROGRAM(sched_worker) {

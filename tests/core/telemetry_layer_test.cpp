@@ -89,7 +89,7 @@ TEST(TelemetryReportJson, SerializationIsAPureFunctionOfTheReports) {
 
 // --- a small type-2 job for seam coverage --------------------------------
 
-PI_CHANNEL* g_ch = nullptr;
+std::atomic<PI_CHANNEL*> g_ch{nullptr};
 std::atomic<int> g_value{0};
 
 PI_SPE_PROGRAM(writes_one_int) {

@@ -152,7 +152,7 @@ TEST(ChromeTraceJson, EscapesQuotesAndControlCharactersInNames) {
 
 // --- end-to-end: captured job, stats API, determinism --------------------
 
-PI_CHANNEL* g_ch = nullptr;
+std::atomic<PI_CHANNEL*> g_ch{nullptr};
 std::atomic<int> g_value{0};
 
 PI_SPE_PROGRAM(writes_one_int) {

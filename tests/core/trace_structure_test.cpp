@@ -2,6 +2,7 @@
 // paper's §IV design prescribes for each channel type — no more, no fewer.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -14,10 +15,11 @@ namespace {
 namespace tb = simtime::tracebuf;
 using Events = std::vector<tb::Event>;
 
-PI_CHANNEL* g_ch = nullptr;
-PI_PROCESS* g_remote_spe = nullptr;
-int g_tag = 0;      // captured during the run: channels die with the app
-int g_channel = -1;
+std::atomic<PI_CHANNEL*> g_ch{nullptr};
+std::atomic<PI_PROCESS*> g_remote_spe{nullptr};
+// Captured during the run: channels die with the app.
+std::atomic<int> g_tag{0};
+std::atomic<int> g_channel{-1};
 
 /// Counts trace events of `kind` from entities containing `who`.
 std::size_t count_events(const Events& events, tb::Kind kind,
@@ -75,8 +77,8 @@ TEST(TraceStructure, Type2WriteIsOneLocalMpiMessageAndOneRequest) {
     PI_Configure(&argc, &argv);
     PI_PROCESS* spe = PI_CreateSPE(ts_reader, PI_MAIN, 0);
     g_ch = PI_CreateChannel(PI_MAIN, spe);
-    g_tag = g_ch->tag();
-    g_channel = g_ch->id;
+    g_tag = g_ch.load()->tag();
+    g_channel = g_ch.load()->id;
     PI_StartAll();
     PI_RunSPE(spe, 0, nullptr);
     PI_Write(g_ch, "%d", 7);
@@ -115,8 +117,8 @@ TEST(TraceStructure, Type5CrossesTheNetworkExactlyOnceViaTwoCopilots) {
     PI_PROCESS* writer = PI_CreateSPE(ts_writer, PI_MAIN, 0);
     g_remote_spe = PI_CreateSPE(ts_reader, parent, 0);
     g_ch = PI_CreateChannel(writer, g_remote_spe);
-    g_tag = g_ch->tag();
-    g_channel = g_ch->id;
+    g_tag = g_ch.load()->tag();
+    g_channel = g_ch.load()->id;
     PI_StartAll();
     PI_RunSPE(writer, 0, nullptr);
     PI_StopMain(0);
@@ -153,8 +155,8 @@ TEST(TraceStructure, Type4NeverTouchesMpiDataPaths) {
     PI_PROCESS* writer = PI_CreateSPE(ts_pair_writer, PI_MAIN, 0);
     reader_proc = PI_CreateSPE(ts_reader, PI_MAIN, 1);
     g_ch = PI_CreateChannel(writer, reader_proc);
-    g_tag = g_ch->tag();
-    g_channel = g_ch->id;
+    g_tag = g_ch.load()->tag();
+    g_channel = g_ch.load()->id;
     PI_StartAll();
     PI_RunSPE(writer, 0, nullptr);
     PI_RunSPE(reader_proc, 0, nullptr);

@@ -25,11 +25,12 @@ using cellpilot::supervision::recovered_op_count;
 using cellpilot::supervision::reset_counters;
 using cellpilot::supervision::respawn_count;
 
-PI_CHANNEL* g_ch_victim = nullptr;  ///< in flight when the Co-Pilot dies
-PI_CHANNEL* g_ch_after = nullptr;   ///< served by the standby
+/// In flight when the Co-Pilot dies.
+std::atomic<PI_CHANNEL*> g_ch_victim{nullptr};
+std::atomic<PI_CHANNEL*> g_ch_after{nullptr};  ///< served by the standby
 std::atomic<int> g_victim_code{-1};
 std::atomic<int> g_after_code{-1};
-PI_CHANNEL* g_ch_burst = nullptr;  ///< respawned writer -> PI_MAIN
+std::atomic<PI_CHANNEL*> g_ch_burst{nullptr};  ///< respawned writer -> PI_MAIN
 std::atomic<int> g_burst_code{-1};
 
 constexpr int kBurst = 8;  ///< messages per burst-writer program run

@@ -41,7 +41,7 @@ using cellpilot::trace::ScopedTraceCapture;
 using pilot::ErrorCode;
 using pilot::PilotError;
 
-PI_CHANNEL* g_out = nullptr;
+std::atomic<PI_CHANNEL*> g_out{nullptr};
 std::atomic<int> g_value{0};
 std::atomic<bool> g_retired{false};
 std::atomic<int> g_saw_retired{-1};

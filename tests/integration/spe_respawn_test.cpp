@@ -42,9 +42,10 @@ using cellpilot::supervision::respawn_count;
 using cellpilot::trace::ScopedTraceCapture;
 using pilot::PilotError;
 
-PI_CHANNEL* g_ch_main = nullptr;  ///< writer SPE -> PI_MAIN
-PI_CHANNEL* g_ch_pair = nullptr;  ///< writer SPE -> reader SPE (type 4)
-PI_CHANNEL* g_ch_sum = nullptr;   ///< reader SPE -> PI_MAIN
+std::atomic<PI_CHANNEL*> g_ch_main{nullptr};  ///< writer SPE -> PI_MAIN
+/// Writer SPE -> reader SPE (Table I type 4).
+std::atomic<PI_CHANNEL*> g_ch_pair{nullptr};
+std::atomic<PI_CHANNEL*> g_ch_sum{nullptr};  ///< reader SPE -> PI_MAIN
 std::atomic<int> g_writer_code{-1};
 
 constexpr int kBurst = 8;  ///< messages per writer program run

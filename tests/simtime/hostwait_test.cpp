@@ -1,4 +1,5 @@
-// hostwait_test.cpp — the Doorbell eventcount and the Co-Pilot's idle park.
+// hostwait_test.cpp — the Doorbell eventcount, the Park wait and the
+// Co-Pilot's idle park.
 //
 // Contract under test:
 //  * a ring that lands between announce() and park() makes the park
@@ -7,6 +8,10 @@
 //    the owner (no wake);
 //  * two threads handing a token back and forth through two doorbells
 //    finish 100,000 rounds (no lost wakeup under contention);
+//  * a Park's flag is up only while its owner sleeps on a false predicate,
+//    and a wake lowers it before the owner runs;
+//  * a Park rings its watcher when the owner falls asleep, so a service
+//    parked on that doorbell sees it; wake_all releases every sleeper;
 //  * an idle-parked Co-Pilot wakes for the ring sources no other test
 //    isolates: a world abort, and the release of a respawned occupant's
 //    slot that ends a deferred shutdown;
@@ -19,9 +24,11 @@
 #include <cstdlib>
 #include <functional>
 #include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/cellpilot.hpp"
 #include "core/copilot.hpp"
@@ -34,6 +41,7 @@ namespace {
 using namespace std::chrono_literals;
 using cellpilot::faults::FaultPlan;
 using simtime::Doorbell;
+using simtime::Park;
 
 /// Runs `body` on its own thread and fails the whole binary if it has not
 /// returned within `limit`: a lost wakeup shows as a hang, and a hung
@@ -111,9 +119,130 @@ TEST(Doorbell, TwoThreadHandshakeCompletes) {
   EXPECT_EQ(ball.load(), 2 * kRounds);
 }
 
+// --- Park ------------------------------------------------------------------
+
+void until_parked(const Park& park) {
+  while (!park.parked()) std::this_thread::sleep_for(1ms);
+}
+
+TEST(Park, FlagIsUpOnlyWhileTheOwnerSleepsOnAFalsePredicate) {
+  std::mutex mu;
+  Park park;
+  int arrived = 0;
+  {
+    std::unique_lock lock(mu);
+    park.wait(lock, [] { return true; });
+  }
+  EXPECT_FALSE(park.parked()) << "a true predicate never sleeps";
+  std::thread owner([&] {
+    std::unique_lock lock(mu);
+    park.wait(lock, [&] { return arrived == 2; });
+    EXPECT_FALSE(park.parked()) << "the owner runs with the flag down";
+  });
+  within(10s, [&] { until_parked(park); });
+  {
+    // Not enough: the owner wakes, looks and sleeps again.
+    std::lock_guard lock(mu);
+    arrived = 1;
+    park.wake_one();
+    EXPECT_FALSE(park.parked());
+  }
+  within(10s, [&] { until_parked(park); });
+  {
+    std::lock_guard lock(mu);
+    arrived = 2;
+    park.wake_one();
+  }
+  owner.join();
+  EXPECT_FALSE(park.parked());
+}
+
+TEST(Park, WakeLowersTheFlagBeforeTheOwnerRuns) {
+  std::mutex mu;
+  Park park;
+  bool ready = false;
+  std::thread owner([&] {
+    std::unique_lock lock(mu);
+    park.wait(lock, [&] { return ready; });
+  });
+  within(10s, [&] { until_parked(park); });
+  {
+    // The owner cannot run while this thread holds the lock.
+    std::lock_guard lock(mu);
+    ready = true;
+    park.wake_one();
+    EXPECT_FALSE(park.parked());
+  }
+  owner.join();
+}
+
+TEST(Park, FallingAsleepRingsTheWatcher) {
+  std::mutex mu;
+  Park park;
+  Doorbell bell;
+  park.set_watcher(&bell);
+  bool ready = false;
+  within(10s, [&] {
+    std::thread owner([&] {
+      std::unique_lock lock(mu);
+      park.wait(lock, [&] { return ready; });
+    });
+    // The watching service parks until the owner reads as asleep; only the
+    // owner's own ring can wake it.
+    for (;;) {
+      const std::uint32_t seen = bell.announce();
+      if (park.parked()) break;
+      bell.park(seen);
+    }
+    bell.unannounce();
+    std::unique_lock lock(mu);
+    ready = true;
+    park.wake_one(lock);
+    owner.join();
+  });
+  EXPECT_FALSE(park.parked());
+}
+
+TEST(Park, WakeAllReleasesEverySleeper) {
+  constexpr int kSleepers = 4;
+  std::mutex mu;
+  Park park;
+  int looks = 0;
+  bool closed = false;
+  std::atomic<int> released{0};
+  within(10s, [&] {
+    std::vector<std::thread> sleepers;
+    for (int i = 0; i < kSleepers; ++i) {
+      sleepers.emplace_back([&] {
+        std::unique_lock lock(mu);
+        park.wait(lock, [&] {
+          ++looks;
+          return closed;
+        });
+        released.fetch_add(1);
+      });
+    }
+    // With no watcher a sleeper goes from its false look straight to the
+    // wait, lock held: once every sleeper has looked, all of them sleep.
+    for (;;) {
+      std::unique_lock lock(mu);
+      if (looks >= kSleepers) {
+        closed = true;  // a close or an abort
+        park.wake_all();
+        break;
+      }
+      lock.unlock();
+      std::this_thread::sleep_for(1ms);
+    }
+    for (std::thread& t : sleepers) t.join();
+  });
+  EXPECT_EQ(released.load(), kSleepers);
+  EXPECT_FALSE(park.parked());
+}
+
 // --- the Co-Pilot's ring sources -------------------------------------------
 
-PI_CHANNEL* g_ch = nullptr;
+std::atomic<PI_CHANNEL*> g_ch{nullptr};
 std::atomic<int> g_incarnation{0};
 std::atomic<bool> g_release{false};
 
